@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
-.PHONY: ci fmt vet build test exp-race obs-race fabric-race thermal-race serve-smoke api-smoke cover fuzz bench bench-json bench-check golden
+.PHONY: ci fmt vet build test exp-race obs-race fabric-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench bench-json bench-check golden
 
-ci: fmt vet build test exp-race obs-race fabric-race thermal-race serve-smoke api-smoke cover fuzz bench-check
+ci: fmt vet build test exp-race obs-race fabric-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench-check
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -36,6 +36,12 @@ fabric-race:
 thermal-race:
 	go test -race -count=1 ./internal/thermal/...
 	go test -race -count=1 -run 'Thermal' ./internal/sim/ ./internal/exp/ ./internal/serve/
+
+# The serving core's shared catalog under the race detector, ten times:
+# concurrent requests on every endpoint that reads it, and served bodies
+# (miss and hit) byte-identical to direct simulator runs.
+serve-race:
+	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun' ./internal/serve/
 
 # End-to-end smoke of the live observability server and the run ledger:
 # serve a real run, scrape every endpoint, then check the appended record.

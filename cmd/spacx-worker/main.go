@@ -2,9 +2,9 @@
 // registers with a spacx-serve coordinator (started with -fabric), pulls
 // leased batches of sweep points over the /fabric/v1/ wire protocol,
 // computes them through its own local simulation core — the same response
-// LRU, layer memoization, and micro-batching engine the server uses, kept
-// hot per shard by the coordinator's consistent-hash routing — and uploads
-// the outcomes. Results are byte-identical to a local run by construction.
+// LRU and micro-batching engine the server uses, kept hot per shard by the
+// coordinator's consistent-hash routing — and uploads the outcomes. Results
+// are byte-identical to a local run by construction.
 //
 // Usage:
 //

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -8,6 +9,7 @@ import (
 	"spacx/internal/dnn"
 	"spacx/internal/network"
 	"spacx/internal/network/spacxnet"
+	"spacx/internal/photonic"
 )
 
 // testArch returns the evaluation SPACX architecture (Section VII-C).
@@ -340,6 +342,47 @@ func TestExplain(t *testing.T) {
 		"ifmaps", "outputs", "broadcast", "memory:"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("Explain missing %q:\n%s", want, s)
+		}
+	}
+}
+
+// TestExplainRetuneTotal pins the retune line to the simulator's delay
+// constant: the printed total is epochs × photonic.SplitterTuneDelaySeconds
+// in nanoseconds, and (for the pinned rows) byte-identical to the text
+// Explain has always printed.
+func TestExplainRetuneTotal(t *testing.T) {
+	a := testArch(t)
+	p, err := SPACX{BandwidthAllocation: true}.Map(dnn.NewSameConv("c3", 56, 3, 64, 64, 1), a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	delay := photonic.SplitterTuneDelaySeconds // a float64 variable: runtime arithmetic
+	cases := []struct {
+		epochs int64
+		line   string // "" means no retune line; otherwise the pinned text
+	}{
+		{0, ""},
+		{1, "  optical retunes: 1 epochs (0.5 ns total)\n"},
+		{3, "  optical retunes: 3 epochs (1.5 ns total)\n"},
+		{2048, "  optical retunes: 2048 epochs (1024.0 ns total)\n"},
+		{123457, "  optical retunes: 123457 epochs (61728.5 ns total)\n"},
+	}
+	for _, tc := range cases {
+		p.RetuneEpochs = tc.epochs
+		s := Explain(p, a)
+		if tc.line == "" {
+			if strings.Contains(s, "optical retunes") {
+				t.Errorf("epochs 0: unexpected retune line in\n%s", s)
+			}
+			continue
+		}
+		fromConst := fmt.Sprintf("  optical retunes: %d epochs (%.1f ns total)\n",
+			tc.epochs, float64(tc.epochs)*delay/1e-9)
+		if fromConst != tc.line {
+			t.Errorf("epochs %d: constant gives %q, pinned text is %q", tc.epochs, fromConst, tc.line)
+		}
+		if !strings.Contains(s, tc.line) {
+			t.Errorf("epochs %d: Explain lacks %q:\n%s", tc.epochs, tc.line, s)
 		}
 	}
 }

@@ -3,7 +3,14 @@ package dataflow
 import (
 	"fmt"
 	"strings"
+
+	"spacx/internal/photonic"
 )
+
+// retuneNs is one optical-splitter retune in nanoseconds. The untyped
+// constant expression is exact, so the printed total is the same 0.5 ns per
+// epoch the simulator charges in seconds.
+const retuneNs = photonic.SplitterTuneDelaySeconds * 1e9
 
 // Explain renders a mapping profile as human-readable text: the spatial
 // utilization, the serial loop structure, every network flow with its
@@ -20,7 +27,7 @@ func Explain(p Profile, a Arch) string {
 		p.VectorSteps, 100*p.Utilization(a))
 	if p.RetuneEpochs > 0 {
 		fmt.Fprintf(&b, "  optical retunes: %d epochs (%.1f ns total)\n",
-			p.RetuneEpochs, float64(p.RetuneEpochs)*0.5)
+			p.RetuneEpochs, float64(p.RetuneEpochs)*retuneNs)
 	}
 	fmt.Fprintf(&b, "  flows:\n")
 	for _, f := range p.Flows {

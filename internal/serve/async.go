@@ -95,11 +95,19 @@ func (r *SweepRun) Run(ctx context.Context, ph *engine.Phase) (result []byte, fa
 	if c := r.svc.opts.Fabric; c != nil && c.Workers() > 0 {
 		return r.runFabric(ctx, ph, c)
 	}
-	runErr := engine.ForEachPhase(ctx, ph, r.svc.opts.MaxBatch, len(r.queries), func(i int) error {
+	return r.runLocal(ctx, ph)
+}
+
+// runLocal answers every point through the local resolve path with at most
+// MaxBatch points in flight, so one sweep occupies at most one micro-batch
+// worth of the admission queue. It is Run without the fabric, and the whole
+// of a synchronous /v1/sweep (ph nil).
+func (r *SweepRun) runLocal(ctx context.Context, ph *engine.Phase) ([]byte, int, error) {
+	err := engine.ForEachPhase(ctx, ph, r.svc.opts.MaxBatch, len(r.queries), func(i int) error {
 		return r.resolveInto(ctx, i)
 	})
-	if runErr != nil {
-		return nil, 0, runErr
+	if err != nil {
+		return nil, 0, err
 	}
 	return r.encodeResult()
 }

@@ -13,12 +13,12 @@
 //
 // Sharding routes each point to a worker by consistent hashing of the
 // point's cache key (the network-fingerprint-based key the serving layer
-// already uses), so each worker's response LRU and layer memo stay hot for
-// its shard. Leases carry a TTL: a worker that dies or stalls has its
-// leases expired and the points re-leased to survivors. Results are
-// first-write-wins per point — a stale upload from an expired lease is
-// accepted if the point is still pending and counted as a duplicate
-// otherwise — which keeps every point computed-and-counted exactly once.
+// already uses), so each worker's response LRU stays hot for its shard.
+// Leases carry a TTL: a worker that dies or stalls has its leases expired
+// and the points re-leased to survivors. Results are first-write-wins per
+// point — a stale upload from an expired lease is accepted if the point is
+// still pending and counted as a duplicate otherwise — which keeps every
+// point computed-and-counted exactly once.
 //
 // The package deliberately does not import the serving core: point specs
 // and result bodies are opaque bytes, so internal/serve can fan its sweep

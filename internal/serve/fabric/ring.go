@@ -10,7 +10,7 @@ import (
 // `replicas` virtual nodes, and a key is owned by the first node clockwise
 // from its hash. Routing sweep points by their cache key means a worker
 // keeps seeing the same (network, model, mode, batch) neighborhoods sweep
-// after sweep — its response LRU and layer memo stay hot for its shard —
+// after sweep — its response LRU stays hot for its shard —
 // while losing one worker only reassigns that worker's arc, not the whole
 // space.
 type ring struct {

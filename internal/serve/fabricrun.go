@@ -89,8 +89,8 @@ func (r *SweepRun) fillLocal(ctx context.Context, ph *engine.Phase, missing []in
 // ComputePoint is the serve-backed fabric.ComputeFunc a worker runs leased
 // points through: it decodes the point's SimulateRequest spec and answers it
 // from this process's full resolve path — response LRU, singleflight,
-// admission queue, micro-batching, layer memo — which is exactly what keeps
-// a worker's caches hot for its consistent-hash shard.
+// admission queue, micro-batching — which is exactly what keeps a worker's
+// response cache hot for its consistent-hash shard.
 //
 // Spec problems (undecodable, unknown catalog names, over-limit batch)
 // become deterministic outcome errors, not aborts: every replica of the

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,9 +8,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
-	"sync"
 
-	"spacx/internal/network"
 	"spacx/internal/obs"
 	"spacx/internal/obs/tracing"
 )
@@ -187,11 +184,13 @@ type SweepResponse struct {
 	Points []SweepPoint `json:"points"`
 }
 
-// handleSweep answers POST /v1/sweep by fanning the grid through the same
-// resolve path as /v1/simulate — every point is cached, coalesced, and
-// batched identically, so a sweep warms the cache for later point queries.
-// Per-point failures (including queue overflow) land in the point's error
-// field; the grid itself must validate.
+// handleSweep answers POST /v1/sweep synchronously through the same local
+// loop as an async sweep job (SweepRun.runLocal): at most MaxBatch points
+// in flight, each through the /v1/simulate resolve path — cached,
+// coalesced and batched identically, so a sweep warms the cache for later
+// point queries — and a queue-full point is retried after RetryAfter
+// instead of failing. Per-point simulation failures land in the point's
+// error field; the grid itself must validate.
 func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST")
@@ -202,39 +201,18 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "read request: %v", err)
 		return
 	}
-	var req SweepRequest
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "decode request: %v", err)
-		return
-	}
-	queries, points, err := s.expandSweep(&req)
+	run, err := s.PrepareSweep(data)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-
-	var wg sync.WaitGroup
-	wg.Add(len(queries))
-	for i := range queries {
-		go func(i int) {
-			defer wg.Done()
-			q := queries[i]
-			if err := q.checkLossBudget(); err != nil {
-				points[i].Error = err.Error()
-				return
-			}
-			body, _, err := s.resolve(r.Context(), q)
-			if err != nil {
-				points[i].Error = err.Error()
-				return
-			}
-			points[i].Result = json.RawMessage(body)
-		}(i)
+	body, _, err := run.runLocal(r.Context(), nil)
+	if err != nil {
+		s.writeResolveErr(w, err)
+		return
 	}
-	wg.Wait()
-	writeJSON(w, http.StatusOK, SweepResponse{Points: points})
+	w.Header().Set("Content-Type", "application/json")
+	_, _ = w.Write(body)
 }
 
 // expandSweep validates a sweep request and expands its grid — the cross
@@ -314,7 +292,7 @@ func (s *Service) handleModels(w http.ResponseWriter, r *http.Request) {
 		out = append(out, ModelInfo{
 			Name:      e.Name,
 			Canonical: e.Canonical,
-			Layers:    len(e.build().Layers),
+			Layers:    len(e.model().Layers),
 		})
 	}
 	writeJSON(w, http.StatusOK, out)
@@ -339,10 +317,10 @@ func (s *Service) handleAccelerators(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]AccelInfo, 0, len(accelCatalog))
 	for _, e := range accelCatalog {
-		acc := e.build()
-		fp, _ := network.FingerprintOf(acc.Arch.Net)
-		info := AccelInfo{Name: e.Name, Description: e.Description, Fingerprint: fp}
-		if loss, ok := e.lossDB(); ok {
+		a := e.built()
+		info := AccelInfo{Name: e.Name, Description: e.Description, Fingerprint: a.fp}
+		if a.hasLoss {
+			loss := a.lossDB
 			info.LossDB = &loss
 		}
 		out = append(out, info)

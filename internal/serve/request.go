@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"strconv"
+	"sync"
 
 	"spacx/internal/dnn"
 	"spacx/internal/network"
@@ -20,8 +21,9 @@ type SimulateRequest struct {
 	Accel string `json:"accel"`
 	// Mode is the data-residency mode: "whole" (default) or "layer".
 	Mode string `json:"mode,omitempty"`
-	// Batch is the number of samples processed together (default 1).
-	Batch int `json:"batch,omitempty"`
+	// Batch is the number of samples processed together, in [1,
+	// MaxRequestBatch]; omitted means 1.
+	Batch int `json:"batch"`
 	// LossBudgetDB optionally rejects the query (422) when the
 	// accelerator's worst-case optical insertion loss exceeds this budget.
 	// Zero disables the check; it only applies to accelerators that report
@@ -58,24 +60,35 @@ type errorResponse struct {
 	Error string `json:"error"`
 }
 
-// modelEntry is one catalog model.
+// modelEntry is one catalog model. model builds it once, on first use, and
+// every request shares that value read-only: network models are frozen at
+// construction and sim.Request copies the layer slice before applying a
+// batch.
 type modelEntry struct {
 	Name      string // request alias
 	Canonical string // paper name
 	build     func() dnn.Model
+	model     func() dnn.Model
+}
+
+func modelOf(name, canonical string, build func() dnn.Model) modelEntry {
+	return modelEntry{Name: name, Canonical: canonical, build: build, model: sync.OnceValue(build)}
 }
 
 // modelCatalog lists every servable model, evaluation benchmarks first.
 var modelCatalog = []modelEntry{
-	{Name: "resnet50", Canonical: "ResNet-50", build: dnn.ResNet50},
-	{Name: "vgg16", Canonical: "VGG-16", build: dnn.VGG16},
-	{Name: "densenet201", Canonical: "DenseNet-201", build: dnn.DenseNet201},
-	{Name: "efficientnetb7", Canonical: "EfficientNet-B7", build: dnn.EfficientNetB7},
-	{Name: "alexnet", Canonical: "AlexNet", build: dnn.AlexNet},
-	{Name: "mobilenetv2", Canonical: "MobileNetV2", build: dnn.MobileNetV2},
+	modelOf("resnet50", "ResNet-50", dnn.ResNet50),
+	modelOf("vgg16", "VGG-16", dnn.VGG16),
+	modelOf("densenet201", "DenseNet-201", dnn.DenseNet201),
+	modelOf("efficientnetb7", "EfficientNet-B7", dnn.EfficientNetB7),
+	modelOf("alexnet", "AlexNet", dnn.AlexNet),
+	modelOf("mobilenetv2", "MobileNetV2", dnn.MobileNetV2),
 }
 
-// accelEntry is one catalog accelerator.
+// accelEntry is one catalog accelerator. built constructs it, its network
+// fingerprint and its loss figure once, on first use; every request shares
+// that value read-only (dataflows are stateless values and network models
+// are frozen at construction).
 type accelEntry struct {
 	Name        string
 	Description string
@@ -83,6 +96,27 @@ type accelEntry struct {
 	// lossDB reports the worst-case optical insertion loss, ok=false for
 	// accelerators without a photonic loss model.
 	lossDB func() (float64, bool)
+	built  func() builtAccel
+}
+
+// builtAccel is an accelerator entry's shared, once-built value.
+type builtAccel struct {
+	acc     sim.Accelerator
+	fp      string // network fingerprint; "" when the network has none
+	lossDB  float64
+	hasLoss bool
+}
+
+func accelOf(name, description string, build func() sim.Accelerator, lossDB func() (float64, bool)) accelEntry {
+	return accelEntry{
+		Name: name, Description: description, build: build, lossDB: lossDB,
+		built: sync.OnceValue(func() builtAccel {
+			acc := build()
+			fp, _ := network.FingerprintOf(acc.Arch.Net)
+			loss, hasLoss := lossDB()
+			return builtAccel{acc: acc, fp: fp, lossDB: loss, hasLoss: hasLoss}
+		}),
+	}
 }
 
 // spacxWorstCaseLoss is the worst-case cross-chiplet channel loss of the
@@ -99,30 +133,18 @@ func noLoss() (float64, bool) { return 0, false }
 
 // accelCatalog lists every servable accelerator, paper order.
 var accelCatalog = []accelEntry{
-	{
-		Name:        "spacx",
-		Description: "SPACX: hierarchical photonic network, broadcast OS dataflow, bandwidth allocation on",
-		build:       sim.SPACXAccel,
-		lossDB:      spacxWorstCaseLoss,
-	},
-	{
-		Name:        "spacx-noba",
-		Description: "SPACX with the flexible bandwidth-allocation scheme disabled",
-		build:       sim.SPACXAccelNoBA,
-		lossDB:      spacxWorstCaseLoss,
-	},
-	{
-		Name:        "simba",
-		Description: "Simba: all-electrical meshes, weight-stationary dataflow",
-		build:       sim.SimbaAccel,
-		lossDB:      noLoss,
-	},
-	{
-		Name:        "popstar",
-		Description: "POPSTAR: photonic package crossbar, electrical chiplet meshes, WS dataflow",
-		build:       sim.POPSTARAccel,
-		lossDB:      noLoss,
-	},
+	accelOf("spacx",
+		"SPACX: hierarchical photonic network, broadcast OS dataflow, bandwidth allocation on",
+		sim.SPACXAccel, spacxWorstCaseLoss),
+	accelOf("spacx-noba",
+		"SPACX with the flexible bandwidth-allocation scheme disabled",
+		sim.SPACXAccelNoBA, spacxWorstCaseLoss),
+	accelOf("simba",
+		"Simba: all-electrical meshes, weight-stationary dataflow",
+		sim.SimbaAccel, noLoss),
+	accelOf("popstar",
+		"POPSTAR: photonic package crossbar, electrical chiplet meshes, WS dataflow",
+		sim.POPSTARAccel, noLoss),
 }
 
 func modelByName(name string) (modelEntry, bool) {
@@ -147,13 +169,19 @@ func accelByName(name string) (accelEntry, bool) {
 // touching any simulator state. It is strict — unknown fields, trailing
 // data, out-of-range values, and unknown catalog names are all errors — and
 // must never panic on arbitrary input (see FuzzSimulateRequest). The
-// returned request is normalized: empty mode becomes "whole", zero batch
-// becomes 1.
+// returned request is normalized: empty mode becomes "whole", an omitted
+// batch becomes 1.
 func decodeSimulateRequest(data []byte, maxBatch int) (SimulateRequest, error) {
 	var req SimulateRequest
+	// The shallower batch field shadows req.Batch, so an explicit 0 is told
+	// apart from an omitted batch.
+	wire := struct {
+		*SimulateRequest
+		Batch *int `json:"batch"`
+	}{SimulateRequest: &req}
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := dec.Decode(&wire); err != nil {
 		return SimulateRequest{}, fmt.Errorf("decode request: %w", err)
 	}
 	if dec.More() {
@@ -178,8 +206,9 @@ func decodeSimulateRequest(data []byte, maxBatch int) (SimulateRequest, error) {
 	default:
 		return SimulateRequest{}, fmt.Errorf("unknown mode %q (whole, layer)", req.Mode)
 	}
-	if req.Batch == 0 {
-		req.Batch = 1
+	req.Batch = 1
+	if wire.Batch != nil {
+		req.Batch = *wire.Batch
 	}
 	if req.Batch < 1 || req.Batch > maxBatch {
 		return SimulateRequest{}, fmt.Errorf("batch must be in [1, %d], got %d", maxBatch, req.Batch)
@@ -188,6 +217,14 @@ func decodeSimulateRequest(data []byte, maxBatch int) (SimulateRequest, error) {
 		return SimulateRequest{}, fmt.Errorf("loss_budget_db must be >= 0, got %g", req.LossBudgetDB)
 	}
 	return req, nil
+}
+
+// modeOf maps a validated wire mode ("whole" or "layer") to the simulator's.
+func modeOf(mode string) sim.Mode {
+	if mode == "layer" {
+		return sim.LayerByLayer
+	}
+	return sim.WholeInference
 }
 
 // query is one admitted simulation lookup: the normalized wire request, the
@@ -209,29 +246,23 @@ type query struct {
 func buildQuery(req SimulateRequest) (query, error) {
 	me, _ := modelByName(req.Model)
 	ae, _ := accelByName(req.Accel)
-	acc := ae.build()
-	mode := sim.WholeInference
-	if req.Mode == "layer" {
-		mode = sim.LayerByLayer
-	}
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
-	if !ok {
+	a := ae.built()
+	if a.fp == "" {
 		// Catalog networks all fingerprint; a non-fingerprinting one would
 		// defeat result caching, so refuse to guess.
 		return query{}, fmt.Errorf("accelerator %q has no network fingerprint", req.Accel)
 	}
-	loss, hasLoss := ae.lossDB()
 	q := query{
 		wire: req,
 		req: sim.Request{
-			Accel: acc,
-			Model: me.build(),
-			Mode:  mode,
+			Accel: a.acc,
+			Model: me.model(),
+			Mode:  modeOf(req.Mode),
 			Batch: req.Batch,
 		},
-		key:     fp + "|" + ae.Name + "|" + me.Name + "|" + req.Mode + "|" + strconv.Itoa(req.Batch),
-		lossDB:  loss,
-		hasLoss: hasLoss,
+		key:     a.fp + "|" + ae.Name + "|" + me.Name + "|" + req.Mode + "|" + strconv.Itoa(req.Batch),
+		lossDB:  a.lossDB,
+		hasLoss: a.hasLoss,
 	}
 	return q, nil
 }
@@ -267,7 +298,8 @@ func encodeSimulateResponse(q query, res sim.ModelResult) ([]byte, error) {
 		ComputeEnergyJ: res.ComputeEnergy,
 		NetworkEnergyJ: res.NetworkEnergy,
 	}
-	for _, lr := range res.Layers {
+	for i := range res.Layers {
+		lr := &res.Layers[i] // by pointer: a LayerResult is large
 		resp.DRAMBytes += lr.DRAMBytes * int64(lr.Layer.Repeat)
 	}
 	if q.hasLoss {

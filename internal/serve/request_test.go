@@ -30,6 +30,7 @@ func TestDecodeSimulateRequestRejects(t *testing.T) {
 		"no accel":       `{"model": "resnet50"}`,
 		"bad mode":       `{"model": "resnet50", "accel": "spacx", "mode": "fast"}`,
 		"batch low":      `{"model": "resnet50", "accel": "spacx", "batch": -2}`,
+		"batch zero":     `{"model": "resnet50", "accel": "spacx", "batch": 0}`,
 		"batch high":     `{"model": "resnet50", "accel": "spacx", "batch": 257}`,
 		"negative loss":  `{"model": "resnet50", "accel": "spacx", "loss_budget_db": -0.5}`,
 		"wrong type":     `{"model": 7, "accel": "spacx"}`,

@@ -2,8 +2,7 @@
 // stdlib-only HTTP surface that answers what-if queries (accelerator ×
 // model × residency mode × batch) from a shared, concurrency-safe
 // simulation core built on the pieces the batch CLIs already use — the
-// experiment engine's worker pool, fingerprint-keyed memoization, and the
-// observability registry.
+// experiment engine's worker pool and the observability registry.
 //
 // Architecture, request path first:
 //
@@ -20,9 +19,11 @@
 //     MaxBatch, waiting BatchWindow for stragglers) and fans each batch
 //     across the experiment engine's worker pool — the latency/throughput
 //     knob of the service.
-//   - Layer memoization: inside a simulation, per-layer evaluations are
-//     memoized exactly like the experiment drivers', so distinct queries
-//     that share (accelerator, layer, mode) points share the work.
+//
+// The response LRU (with its singleflight table) is the service's one
+// cache: a miss runs plain sim.RunLayer for every layer. The model and
+// accelerator catalogs are built once per entry, on first use, and shared
+// read-only by every request.
 //
 // Lifecycle: Start launches the scheduler under a context; Close stops
 // admission, drains every queued job, and returns once the scheduler has
@@ -37,14 +38,11 @@ import (
 	"runtime"
 	"time"
 
-	"spacx/internal/dnn"
 	"spacx/internal/exp/engine"
-	"spacx/internal/network"
 	"spacx/internal/obs"
 	"spacx/internal/obs/flightrec"
 	"spacx/internal/obs/tracing"
 	"spacx/internal/serve/fabric"
-	"spacx/internal/sim"
 )
 
 // Options tunes the service; every zero field gets a sensible default.
@@ -56,7 +54,8 @@ type Options struct {
 	// rejected with 429 (<= 0 means 64).
 	QueueDepth int
 	// MaxBatch is the most requests one engine batch coalesces (<= 0 means
-	// 16; 1 disables micro-batching).
+	// 16; 1 disables micro-batching). It also caps the points a sweep, sync
+	// or async, has in flight at once.
 	MaxBatch int
 	// BatchWindow is how long the scheduler waits for stragglers after the
 	// first job of a batch arrives. 0 dispatches immediately, coalescing
@@ -65,18 +64,9 @@ type Options struct {
 	BatchWindow time.Duration
 	// CacheEntries is the response LRU capacity (<= 0 means 512).
 	CacheEntries int
-	// LayerCacheMax bounds the per-layer memoization cache; when exceeded
-	// the memo is dropped wholesale and rebuilt (<= 0 means 65536 entries).
-	LayerCacheMax int
 	// MaxRequestBatch is the largest accepted per-request batch size
 	// (<= 0 means 256).
 	MaxRequestBatch int
-	// BatchPoints is the smallest number of distinct uncached layer points a
-	// coalesced micro-batch must carry before the scheduler primes the layer
-	// cache through the batched kernel (sim.RunBatch) instead of letting the
-	// per-job runs evaluate them one by one. 0 means the default (32); < 0
-	// disables the batched path entirely.
-	BatchPoints int
 	// MaxSweepPoints caps the /v1/sweep grid (<= 0 means 64).
 	MaxSweepPoints int
 	// RetryAfter is the backpressure hint returned with 429/503 responses
@@ -123,14 +113,8 @@ func (o Options) withDefaults() Options {
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 512
 	}
-	if o.LayerCacheMax <= 0 {
-		o.LayerCacheMax = 65536
-	}
 	if o.MaxRequestBatch <= 0 {
 		o.MaxRequestBatch = 256
-	}
-	if o.BatchPoints == 0 {
-		o.BatchPoints = defaultBatchPoints
 	}
 	if o.MaxSweepPoints <= 0 {
 		o.MaxSweepPoints = 64
@@ -159,9 +143,8 @@ type Service struct {
 	rec   obs.Recorder
 	phase *engine.Phase
 
-	cache  *resultCache
-	layers engine.Cache[layerKey, sim.LayerResult]
-	queue  chan *job
+	cache *resultCache
+	queue chan *job
 
 	ctx      context.Context
 	quit     chan struct{}
@@ -350,7 +333,6 @@ func (s *Service) runBatch(batch []*job) {
 	s.rec.Observe("spacx_serve_batch_size", float64(len(batch)))
 	s.rec.Count("spacx_serve_batches_total", 1)
 	s.rec.Gauge("spacx_serve_queue_depth", float64(len(s.queue)))
-	s.primeBatch(batch)
 	_ = engine.ForEachPhase(s.ctx, s.phase, s.opts.Workers, len(batch), func(i int) error {
 		j := batch[i]
 		j.qspan.End()
@@ -392,68 +374,17 @@ func (s *Service) finish(j *job, body []byte, err error) {
 	s.rec.Gauge("spacx_serve_cache_entries", float64(s.cache.len()))
 }
 
-// execute runs one simulation through the memoized layer runner and encodes
-// the response body. ctx carries the admitting request's trace into the
-// simulator (sim:model span); cancellation is not consulted here — an
-// admitted job always runs to completion so its result lands in the cache.
+// execute runs one simulation and encodes the response body. ctx carries
+// the admitting request's trace into the simulator (sim:model span);
+// cancellation is not consulted here — an admitted job always runs to
+// completion so its result lands in the cache.
 func (s *Service) execute(ctx context.Context, q query) ([]byte, error) {
 	stop := s.rec.Time("spacx_serve_sim_seconds")
-	res, err := q.req.RunCtx(ctx, s.runLayer)
+	res, err := q.req.RunCtx(ctx, nil)
 	stop()
 	s.rec.Count("spacx_serve_engine_runs_total", 1)
 	if err != nil {
 		return nil, err
 	}
 	return encodeSimulateResponse(q, res)
-}
-
-// layerKey identifies one memoizable layer evaluation, mirroring the
-// experiment drivers' memoization: every field that can change a
-// LayerResult — the architecture geometry, buffer sizes, dataflow, network
-// fingerprint, layer shape (batch included), and residency mode — is part
-// of the key.
-type layerKey struct {
-	arch     string
-	net      string
-	flow     string
-	m, n     int
-	vecWidth int
-	clockHz  float64
-	peBuf    int
-	gb       int
-	gef, gk  int
-	layer    dnn.Layer
-	mode     sim.Mode
-}
-
-func keyForLayer(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (layerKey, bool) {
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
-	if !ok {
-		return layerKey{}, false
-	}
-	return layerKey{
-		arch: acc.Arch.Name, net: fp, flow: acc.Flow.Name(),
-		m: acc.Arch.M, n: acc.Arch.N,
-		vecWidth: acc.Arch.VectorWidth, clockHz: acc.Arch.ClockHz,
-		peBuf: acc.Arch.PEBufBytes, gb: acc.Arch.GBBytes,
-		gef: acc.Arch.GEF, gk: acc.Arch.GK,
-		layer: l, mode: mode,
-	}, true
-}
-
-// runLayer is the memoized sim.RunLayer shared by every query. The memo is
-// epoch-bounded: past LayerCacheMax entries it is dropped wholesale, which
-// keeps a long-running server's memory flat at the cost of occasional
-// recomputation.
-func (s *Service) runLayer(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
-	k, ok := keyForLayer(acc, l, mode)
-	if !ok {
-		return sim.RunLayer(acc, l, mode)
-	}
-	if s.layers.Len() > s.opts.LayerCacheMax {
-		s.layers.Reset()
-	}
-	return s.layers.Do(k, func() (sim.LayerResult, error) {
-		return sim.RunLayer(acc, l, mode)
-	})
 }

@@ -385,6 +385,51 @@ func TestSweepGridAndCacheWarming(t *testing.T) {
 	}
 }
 
+// TestSyncSweepAnswersEveryPoint is the regression test for the synchronous
+// /v1/sweep queue overflow: the EXPERIMENTS.md 240-point grid on a fresh
+// default service used to fail most of its points with "simulation queue
+// full". The second case forces rejections with a one-slot queue; the
+// sweep retries them after Retry-After instead of failing the point.
+func TestSyncSweepAnswersEveryPoint(t *testing.T) {
+	const grid = `{"models": ["resnet50", "vgg16", "densenet201", "efficientnetb7", "alexnet", "mobilenetv2"],
+		"accels": ["spacx", "spacx-noba", "simba", "popstar"], "modes": ["whole", "layer"], "batches": [1, 4, 8, 16, 32]}`
+	cases := []struct {
+		name   string
+		opts   Options
+		body   string
+		points int
+	}{
+		{"default service, 240 points", Options{MaxSweepPoints: 256}, grid, 240},
+		{"one-slot queue", Options{QueueDepth: 1, MaxBatch: 4, RetryAfter: time.Millisecond},
+			`{"models": ["alexnet", "vgg16"], "accels": ["spacx", "simba"], "batches": [1, 2, 4, 8]}`, 16},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, mux := newService(t, tc.opts)
+			rr := doReq(mux, http.MethodPost, "/v1/sweep", tc.body)
+			if rr.Code != http.StatusOK {
+				t.Fatalf("status %d: %s", rr.Code, rr.Body)
+			}
+			var resp SweepResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			if len(resp.Points) != tc.points {
+				t.Fatalf("%d points, want %d", len(resp.Points), tc.points)
+			}
+			failed := 0
+			for _, p := range resp.Points {
+				if p.Error != "" || len(p.Result) == 0 {
+					failed++
+				}
+			}
+			if failed != 0 {
+				t.Fatalf("%d of %d points failed, want 0", failed, tc.points)
+			}
+		})
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	_, _, mux := newService(t, Options{MaxSweepPoints: 4})
 	cases := []struct {
@@ -396,6 +441,8 @@ func TestSweepValidation(t *testing.T) {
 		{"unknown model", `{"models": ["lenet"], "accels": ["spacx"]}`},
 		{"grid too large", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [1,2,3,4,5]}`},
 		{"unknown field", `{"models": ["alexnet"], "accels": ["spacx"], "grid": true}`},
+		{"trailing data", `{"models": ["alexnet"], "accels": ["spacx"]} {}`},
+		{"batch zero", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [0]}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -9,7 +9,6 @@ import (
 	"strings"
 
 	"spacx/internal/exp"
-	"spacx/internal/sim"
 )
 
 // maxThermalSimSec caps the total simulated time (steps × step_sec) of one
@@ -99,10 +98,10 @@ func decodeThermalRequest(data []byte, maxSteps int) (ThermalRequest, error) {
 // handleThermal answers POST /v1/thermal by running the closed-loop
 // thermal replay synchronously. Replays are bounded (MaxThermalSteps steps,
 // maxThermalSimSec simulated seconds) and cheap — one analytical model
-// evaluation plus an RC integration — so they bypass the admission queue; the layer memoization underneath is shared
-// and concurrency-safe. Throttle and saturation transitions land on the
-// service's flight recorder when one is mounted (-fabric), so they show up
-// on /fleet/events.
+// evaluation plus an RC integration — so they bypass the admission queue;
+// the model is the catalog's shared, read-only value. Throttle and
+// saturation transitions land on the service's flight recorder when one is
+// mounted (-fabric), so they show up on /fleet/events.
 func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST")
@@ -119,17 +118,13 @@ func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	me, _ := modelByName(req.Model)
-	mode := sim.WholeInference
-	if req.Mode == "layer" {
-		mode = sim.LayerByLayer
-	}
 	feedback := true
 	if req.Feedback != nil {
 		feedback = *req.Feedback
 	}
 	rep, err := exp.ThermalReplay(exp.ThermalReplayConfig{
-		Model:    me.build(),
-		Mode:     mode,
+		Model:    me.model(),
+		Mode:     modeOf(req.Mode),
 		Profile:  req.Profile,
 		Seed:     req.Seed,
 		Steps:    req.Steps,

@@ -45,9 +45,8 @@ func (r Request) batched() dnn.Model {
 
 // Points expands the request into the batch kernel's sweep points: one per
 // layer of the batched model, in layer order, all sharing the request's
-// accelerator and residency mode. Schedulers use it to collect the distinct
-// layer evaluations a queue of requests will need and prime them through
-// RunBatch before the per-request aggregation runs.
+// accelerator and residency mode — the per-layer evaluations Run would make,
+// as RunBatch input.
 func (r Request) Points() []Point {
 	m := r.batched()
 	pts := make([]Point, len(m.Layers))

@@ -6,9 +6,9 @@
 //
 // The compute function is injected rather than imported so the package
 // stays protocol-only: cmd/spacx-worker wires in a serve.Service-backed
-// compute core (response LRU + layer memoization, kept hot per shard by
-// the coordinator's consistent-hash routing), while tests wire in scripted
-// functions to choreograph faults.
+// compute core (its response LRU, kept hot per shard by the coordinator's
+// consistent-hash routing), while tests wire in scripted functions to
+// choreograph faults.
 //
 // Lifecycle: Run blocks until ctx is cancelled (returning ctx.Err()) or the
 // coordinator drains (returning nil). A coordinator restart is survived
