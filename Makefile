@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
-.PHONY: ci fmt vet build test exp-race obs-race fabric-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench bench-json bench-check golden
+.PHONY: ci fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench bench-json bench-check golden
 
-ci: fmt vet build test exp-race obs-race fabric-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench-check
+ci: fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench-check
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -24,11 +24,6 @@ exp-race:
 
 obs-race:
 	go test -race -count=1 ./internal/obs/...
-
-# The distributed sweep fabric under the race detector: coordinator,
-# worker client, and the multi-worker fault-injection harness.
-fabric-race:
-	go test -race -count=1 ./internal/serve/fabric/... ./internal/worker/... ./internal/obs/flightrec/...
 
 # The closed-loop thermal co-simulation under the race detector: the RC
 # network and feedback coupler, plus the thermal paths through the
@@ -76,8 +71,6 @@ fuzz:
 	go test ./internal/dataflow -run '^$$' -fuzz FuzzTiling -fuzztime=10s
 	go test ./internal/sim -run '^$$' -fuzz FuzzRunBatch -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime=10s
-	go test ./internal/serve/fabric -run '^$$' -fuzz FuzzLeaseRequest -fuzztime=10s
-	go test ./internal/serve/fabric -run '^$$' -fuzz FuzzResultUpload -fuzztime=10s
 
 # Timed benchmarks across the repository (slow; for local investigation).
 bench:

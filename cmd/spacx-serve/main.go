@@ -7,7 +7,7 @@
 // Usage:
 //
 //	spacx-serve -http 127.0.0.1:8080
-//	spacx-serve -http 127.0.0.1:8080 -j 8 -queue 128 -max-batch 32 -batch-window 2ms
+//	spacx-serve -http 127.0.0.1:8080 -j 8 -queue 128 -max-batch 32
 //
 // Endpoints (see README.md "Serving" and "Jobs & Tracing"):
 //
@@ -21,11 +21,7 @@
 //	GET    /v1/jobs/{id}/events SSE progress stream (points done, rate, ETA)
 //	GET    /v1/models           servable model catalog
 //	GET    /v1/accelerators     servable accelerator catalog
-//	POST   /fabric/v1/...       worker-fleet wire protocol (with -fabric)
-//	GET    /fabric/v1/status    fleet + in-flight sweep snapshot
-//	GET    /fleet               per-worker liveness, throughput, version skew
-//	GET    /fleet/events        flight-recorder dump (fabric lifecycle events)
-//	GET    /metrics             service + simulator + federated worker metrics
+//	GET    /metrics             service + simulator metrics
 //	GET    /traces, /traces/{id} request/job span trees (X-Spacx-Trace ids)
 //	GET    /version             build info
 //	GET    /readyz              readiness (503 once draining)
@@ -51,11 +47,9 @@ import (
 	"spacx/internal/exp"
 	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
-	"spacx/internal/obs/flightrec"
 	"spacx/internal/obs/server"
 	"spacx/internal/obs/tracing"
 	"spacx/internal/serve"
-	"spacx/internal/serve/fabric"
 	"spacx/internal/serve/jobs"
 )
 
@@ -64,7 +58,6 @@ type options struct {
 	jobs       int
 	queue      int
 	maxBatch   int
-	window     time.Duration
 	cache      int
 	maxReqBat  int
 	sweepCap   int
@@ -74,13 +67,6 @@ type options struct {
 	jobsKeep   int
 	maxJobs    int
 	traceKeep  int
-
-	fabricOn    bool
-	leaseTTL    time.Duration
-	leasePoints int
-	workerTTL   time.Duration
-	flightRec   int
-	flightDump  string
 
 	verbose bool
 	version bool
@@ -92,7 +78,6 @@ func main() {
 	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "simulation workers per micro-batch")
 	flag.IntVar(&o.queue, "queue", 64, "admission queue depth; beyond it requests get 429")
 	flag.IntVar(&o.maxBatch, "max-batch", 16, "most queries coalesced into one engine batch")
-	flag.DurationVar(&o.window, "batch-window", 0, "how long to wait for stragglers before dispatching a batch (0 = immediate)")
 	flag.IntVar(&o.cache, "cache", 512, "response cache capacity (entries)")
 	flag.IntVar(&o.maxReqBat, "max-request-batch", 256, "largest accepted per-request batch size")
 	flag.IntVar(&o.sweepCap, "sweep-points", 64, "largest accepted /v1/sweep grid")
@@ -102,12 +87,6 @@ func main() {
 	flag.IntVar(&o.jobsKeep, "jobs-keep", 64, "terminal jobs retained in memory and in the jobs ledger")
 	flag.IntVar(&o.maxJobs, "max-jobs", 8, "concurrently live async jobs; beyond it submissions get 429")
 	flag.IntVar(&o.traceKeep, "traces", 256, "recent request/job traces retained for /traces")
-	flag.BoolVar(&o.fabricOn, "fabric", false, "coordinate a spacx-worker fleet on /fabric/v1/; async sweeps fan out when workers are attached")
-	flag.DurationVar(&o.leaseTTL, "lease-ttl", 15*time.Second, "how long a worker may hold a leased point batch before it is re-leased")
-	flag.IntVar(&o.leasePoints, "lease-points", 8, "most sweep points handed out per lease")
-	flag.DurationVar(&o.workerTTL, "worker-ttl", 0, "expire workers silent this long (0 = 4 x heartbeat)")
-	flag.IntVar(&o.flightRec, "flightrec", 1024, "fabric flight-recorder ring capacity (events retained for /fleet/events; 0 disables)")
-	flag.StringVar(&o.flightDump, "flightrec-dump", "", "write the flight-recorder events to this JSONL file at exit")
 	flag.BoolVar(&o.verbose, "v", false, "log structured request progress to stderr")
 	flag.BoolVar(&o.version, "version", false, "print build info and exit")
 	flag.Parse()
@@ -131,9 +110,6 @@ func validate(o options) error {
 	}
 	if o.maxBatch < 1 {
 		return fmt.Errorf("-max-batch must be >= 1, got %d", o.maxBatch)
-	}
-	if o.window < 0 {
-		return fmt.Errorf("-batch-window must be >= 0, got %v", o.window)
 	}
 	if o.cache < 1 {
 		return fmt.Errorf("-cache must be >= 1, got %d", o.cache)
@@ -159,20 +135,6 @@ func validate(o options) error {
 	if o.traceKeep < 1 {
 		return fmt.Errorf("-traces must be >= 1, got %d", o.traceKeep)
 	}
-	if o.fabricOn {
-		if o.leaseTTL <= 0 {
-			return fmt.Errorf("-lease-ttl must be > 0, got %v", o.leaseTTL)
-		}
-		if o.leasePoints < 1 {
-			return fmt.Errorf("-lease-points must be >= 1, got %d", o.leasePoints)
-		}
-		if o.workerTTL < 0 {
-			return fmt.Errorf("-worker-ttl must be >= 0, got %v", o.workerTTL)
-		}
-		if o.flightRec < 0 {
-			return fmt.Errorf("-flightrec must be >= 0, got %d", o.flightRec)
-		}
-	}
 	return nil
 }
 
@@ -194,30 +156,10 @@ func run(o options) error {
 	hardCtx, hardCancel := context.WithCancel(context.Background())
 	defer hardCancel()
 
-	// The coordinator (when enabled) exists before the service so sweeps can
-	// fan out from the first request; with no workers attached the service
-	// quietly runs sweeps locally.
-	var coord *fabric.Coordinator
-	var flight *flightrec.Recorder
-	if o.fabricOn {
-		if o.flightRec > 0 {
-			flight = flightrec.New(o.flightRec)
-		}
-		coord = fabric.New(fabric.Options{
-			LeaseTTL:    o.leaseTTL,
-			LeasePoints: o.leasePoints,
-			WorkerTTL:   o.workerTTL,
-			Recorder:    reg,
-			Traces:      traces,
-			Flight:      flight,
-		})
-	}
-
 	svc := serve.New(serve.Options{
 		Workers:         o.jobs,
 		QueueDepth:      o.queue,
 		MaxBatch:        o.maxBatch,
-		BatchWindow:     o.window,
 		CacheEntries:    o.cache,
 		MaxRequestBatch: o.maxReqBat,
 		MaxSweepPoints:  o.sweepCap,
@@ -225,8 +167,6 @@ func run(o options) error {
 		Recorder:        reg,
 		Progress:        prog,
 		Traces:          traces,
-		Fabric:          coord,
-		Flight:          flight,
 	})
 	svc.Start(hardCtx)
 
@@ -248,22 +188,15 @@ func run(o options) error {
 		return fmt.Errorf("job ledger: %w", err)
 	}
 
-	srvOpts := server.Options{
+	srv, err := server.Start(o.httpAddr, server.Options{
 		Registry: reg,
 		Progress: prog,
 		Traces:   traces,
-	}
-	if coord != nil {
-		srvOpts.Federate = coord.FleetMetrics
-	}
-	srvOpts.Mount = func(mux *http.ServeMux) {
-		svc.Routes(mux)
-		mgr.Routes(mux, svc.Instrument)
-		if coord != nil {
-			coord.Routes(mux, fabric.Instrumenter(svc.Instrument))
-		}
-	}
-	srv, err := server.Start(o.httpAddr, srvOpts)
+		Mount: func(mux *http.ServeMux) {
+			svc.Routes(mux)
+			mgr.Routes(mux, svc.Instrument)
+		},
+	})
 	if err != nil {
 		return err
 	}
@@ -284,25 +217,8 @@ func run(o options) error {
 		fmt.Fprintf(os.Stderr, "spacx-serve: received %s, abandoning queued work\n", s)
 		hardCancel()
 	}()
-	// The coordinator closes between the jobs and the service: jobs first so
-	// in-flight distributed sweeps settle (or are recorded cancelled), then
-	// the fleet is told to drain, then local admission shuts.
 	mgr.Close()
-	if coord != nil {
-		coord.Close()
-	}
 	svc.Close()
-
-	if o.flightDump != "" && flight != nil {
-		if f, err := os.Create(o.flightDump); err != nil {
-			fmt.Fprintf(os.Stderr, "spacx-serve: flightrec dump: %v\n", err)
-		} else {
-			if err := flight.WriteJSONL(f); err != nil {
-				fmt.Fprintf(os.Stderr, "spacx-serve: flightrec dump: %v\n", err)
-			}
-			_ = f.Close()
-		}
-	}
 
 	// Keep /metrics up for a final scrape, then exit.
 	return srv.DrainAndShutdown(o.linger, 200*time.Millisecond)

@@ -33,7 +33,6 @@ func TestValidateOptions(t *testing.T) {
 		{"zero jobs", func(o *options) { o.jobs = 0 }},
 		{"zero queue", func(o *options) { o.queue = 0 }},
 		{"zero max batch", func(o *options) { o.maxBatch = 0 }},
-		{"negative window", func(o *options) { o.window = -time.Millisecond }},
 		{"zero cache", func(o *options) { o.cache = 0 }},
 		{"zero request batch", func(o *options) { o.maxReqBat = 0 }},
 		{"zero sweep points", func(o *options) { o.sweepCap = 0 }},
@@ -42,14 +41,6 @@ func TestValidateOptions(t *testing.T) {
 		{"zero jobs keep", func(o *options) { o.jobsKeep = 0 }},
 		{"zero max jobs", func(o *options) { o.maxJobs = 0 }},
 		{"zero trace keep", func(o *options) { o.traceKeep = 0 }},
-		{"fabric zero lease ttl", func(o *options) { o.fabricOn = true; o.leasePoints = 8 }},
-		{"fabric zero lease points", func(o *options) { o.fabricOn = true; o.leaseTTL = time.Second }},
-		{"fabric negative worker ttl", func(o *options) {
-			o.fabricOn = true
-			o.leaseTTL = time.Second
-			o.leasePoints = 8
-			o.workerTTL = -time.Second
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 
 	"spacx/internal/dnn"
 	"spacx/internal/obs"
-	"spacx/internal/obs/flightrec"
 	"spacx/internal/sim"
 )
 
@@ -52,10 +51,6 @@ type ThermalReplayConfig struct {
 	// Thermal overrides the co-simulation constants; the zero value takes
 	// sim.DefaultThermalConfig() (with Feedback from the field above).
 	Thermal *sim.ThermalConfig
-
-	// Flight receives throttle and saturation transition events; nil
-	// discards them.
-	Flight *flightrec.Recorder
 }
 
 // Validate rejects malformed configs before any simulation runs.
@@ -196,14 +191,6 @@ type ThermalReport struct {
 	Summary ThermalSummary
 }
 
-// flight event kinds emitted on throttle and saturation transitions.
-const (
-	flightThrottleOn  = "thermal:throttle-on"
-	flightThrottleOff = "thermal:throttle-off"
-	flightSaturateOn  = "thermal:heater-saturated"
-	flightSaturateOff = "thermal:heater-recovered"
-)
-
 // ThermalReplay runs one deterministic traffic replay through the coupled
 // thermal simulator and returns the time-series report. The accelerator is
 // the default SPACX machine; the model's static simulation fixes the
@@ -243,7 +230,7 @@ func ThermalReplay(cfg ThermalReplayConfig) (*ThermalReport, error) {
 }
 
 // replay drives the stepper through the offered series and assembles the
-// report, emitting metrics and flight events along the way.
+// report, emitting metrics along the way.
 func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cfg ThermalReplayConfig, offered []float64) (*ThermalReport, error) {
 	rep := &ThermalReport{
 		Schema:   ThermalReportSchema,
@@ -268,7 +255,6 @@ func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cf
 	sum.MinMarginDB = math.Inf(1)
 	sum.MinThrottle = math.Inf(1)
 	enabled := recorder.Enabled()
-	throttled, saturated := false, false
 	for i, u := range offered {
 		s, err := st.Step(u, cfg.StepSec)
 		if err != nil {
@@ -310,32 +296,6 @@ func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cf
 		sum.MeanAchievedUtil += pt.AchievedUtil
 		sum.OfferedPoints += pt.OfferedUtil * rep.FullLoadPointsPerSec * cfg.StepSec
 		sum.AchievedPoints += pt.PointsPerSec * cfg.StepSec
-
-		// Transition events on the flight ring.
-		if now := pt.Throttle < 1; now != throttled {
-			throttled = now
-			kind := flightThrottleOff
-			if now {
-				kind = flightThrottleOn
-			}
-			cfg.Flight.Record(flightrec.Event{
-				Kind: kind, Sweep: "thermal",
-				Detail: fmt.Sprintf("t=%.0fs throttle=%.3f margin=%.2fdB maxChiplet=%.2fK",
-					pt.TimeSec, pt.Throttle, pt.MarginDB, pt.MaxChipletK),
-			})
-		}
-		if now := pt.Saturated; now != saturated {
-			saturated = now
-			kind := flightSaturateOff
-			if now {
-				kind = flightSaturateOn
-			}
-			cfg.Flight.Record(flightrec.Event{
-				Kind: kind, Sweep: "thermal",
-				Detail: fmt.Sprintf("t=%.0fs tuning=%.2fmW maxChiplet=%.2fK",
-					pt.TimeSec, pt.TuningMwPerRing, pt.MaxChipletK),
-			})
-		}
 
 		if enabled {
 			lbl := obs.Label{Key: "profile", Value: cfg.Profile}

@@ -22,12 +22,7 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 // format (version 0.0.4, promtool-compatible): one # TYPE header per metric
 // name, histograms expanded into cumulative _bucket/_sum/_count series.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	return r.Snapshot().WritePrometheus(w)
-}
-
-// WritePrometheus renders any Snapshot — a registry's own, or a federated
-// merge of worker snapshots — in the Prometheus text exposition format.
-func (snap Snapshot) WritePrometheus(w io.Writer) error {
+	snap := r.Snapshot()
 	bw := bufio.NewWriter(w)
 
 	// Group series by metric name so each name gets exactly one TYPE line.

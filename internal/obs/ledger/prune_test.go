@@ -129,11 +129,11 @@ func TestJobRecordsRoundTripNewestLineWins(t *testing.T) {
 }
 
 // TestAppendPruneConcurrent hammers one ledger path with concurrent appends
-// and prunes (run under -race in CI via `make fabric-race`). Every appender
-// interleaves real records with schema-mismatched chaff so each prune pass
-// actually rewrites the file; without the per-path lock in lockPath, an
-// append landing inside a prune's read → temp → rename window is renamed
-// over and silently lost.
+// and prunes (run under -race by `make obs-race` and its CI step). Every
+// appender interleaves real records with schema-mismatched chaff so each
+// prune pass actually rewrites the file; without the per-path lock in
+// lockPath, an append landing inside a prune's read → temp → rename window
+// is renamed over and silently lost.
 func TestAppendPruneConcurrent(t *testing.T) {
 	path := prunePath(t)
 	const writers, perWriter = 4, 50

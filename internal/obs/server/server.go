@@ -53,11 +53,6 @@ type Options struct {
 	// API on the same listener as /metrics, /readyz, and the drain
 	// machinery.
 	Mount func(mux *http.ServeMux)
-	// Federate, when non-nil, supplies extra metric series merged into
-	// /metrics and /metrics.json alongside the registry's own — the hook a
-	// fabric coordinator uses to re-export its workers' pushed snapshots
-	// (already relabelled worker=...) on its own scrape page.
-	Federate func() obs.Snapshot
 }
 
 // Server is a running observability endpoint.
@@ -170,7 +165,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		return
 	}
 	s.writeBuffered(w, "text/plain; version=0.0.4; charset=utf-8", func(dst io.Writer) error {
-		return s.exportSnapshot().WritePrometheus(dst)
+		return s.opts.Registry.WritePrometheus(dst)
 	})
 }
 
@@ -179,23 +174,7 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "no metrics registry attached", http.StatusServiceUnavailable)
 		return
 	}
-	s.writeBuffered(w, "application/json", func(dst io.Writer) error {
-		enc := json.NewEncoder(dst)
-		enc.SetIndent("", "  ")
-		return enc.Encode(s.exportSnapshot())
-	})
-}
-
-// exportSnapshot is the scrape body: the registry's own series, plus the
-// federated series when a Federate hook is wired. The merge keys on the full
-// label set, and federated series always carry a worker label the local ones
-// lack, so the two can never collide.
-func (s *Server) exportSnapshot() obs.Snapshot {
-	snap := s.opts.Registry.Snapshot()
-	if s.opts.Federate == nil {
-		return snap
-	}
-	return obs.MergeSnapshots(snap, s.opts.Federate())
+	s.writeBuffered(w, "application/json", s.opts.Registry.WriteJSON)
 }
 
 func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {

@@ -54,17 +54,12 @@ func newProcID() string {
 
 // SpanData is one completed span as exported by /traces/{id}.
 type SpanData struct {
-	ID          int64     `json:"id"`
-	Parent      int64     `json:"parent,omitempty"` // 0 = child of the root
-	Name        string    `json:"name"`
-	StartUTC    time.Time `json:"start_utc"`
-	DurationSec float64   `json:"duration_sec"`
-	// Note is a terminal annotation ("expired" on a lease whose worker died).
-	Note string `json:"note,omitempty"`
-	// Worker names the process that recorded the span when it was stitched in
-	// from a remote collector ("" for locally recorded spans).
-	Worker   string     `json:"worker,omitempty"`
-	Children []SpanData `json:"children,omitempty"`
+	ID          int64      `json:"id"`
+	Parent      int64      `json:"parent,omitempty"` // 0 = child of the root
+	Name        string     `json:"name"`
+	StartUTC    time.Time  `json:"start_utc"`
+	DurationSec float64    `json:"duration_sec"`
+	Children    []SpanData `json:"children,omitempty"`
 }
 
 // TraceData is one exported trace: the root identity plus the span tree.
@@ -197,32 +192,10 @@ func ID(ctx context.Context) string {
 	return ""
 }
 
-// ID returns the span's id within its trace (0 for a nil span).
-func (s *Span) ID() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
-}
-
-// TraceID returns the id of the span's trace ("" for a nil span).
-func (s *Span) TraceID() string {
-	if s == nil {
-		return ""
-	}
-	return s.t.id
-}
-
 // End completes the span: its duration is observed into the collector's
 // span histogram and, capacity permitting, the span joins the trace's tree.
 // End is idempotent and nil-safe.
-func (s *Span) End() { s.EndAnnotated("") }
-
-// EndAnnotated completes the span like End and tags its exported SpanData
-// with a terminal note — how a lease span records that it ended by TTL
-// expiry rather than by upload. Idempotent and nil-safe; only the first
-// completion (End or EndAnnotated) wins.
-func (s *Span) EndAnnotated(note string) {
+func (s *Span) End() {
 	if s == nil || !s.ended.CompareAndSwap(false, true) {
 		return
 	}
@@ -238,7 +211,6 @@ func (s *Span) EndAnnotated(note string) {
 			Name:        s.name,
 			StartUTC:    s.start.UTC(),
 			DurationSec: dur.Seconds(),
-			Note:        note,
 		})
 	} else {
 		t.dropped++
@@ -248,74 +220,6 @@ func (s *Span) EndAnnotated(note string) {
 		t.endUTC = now.UTC()
 	}
 	t.mu.Unlock()
-}
-
-// Export returns one trace's completed spans, flat in end order — the form a
-// worker piggybacks onto fabric uploads for coordinator-side stitching.
-func (c *Collector) Export(id string) ([]SpanData, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	t, ok := c.traces[id]
-	c.mu.Unlock()
-	if !ok {
-		return nil, false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanData(nil), t.spans...), true
-}
-
-// Ingest grafts remotely recorded spans into the trace id under the given
-// parent span, attributing them to worker — the coordinator-side half of
-// cross-process trace stitching. Remote span ids are remapped onto fresh
-// local ids (preserving parent links within the batch; batch roots and spans
-// whose parent is not in the batch attach under parent), so stitched spans
-// can never collide with locally recorded ones. The per-trace span cap still
-// applies: spans past it count into Dropped exactly. Spans for a trace the
-// collector no longer retains (FIFO-evicted, or never local) are dropped
-// silently. Never panics; nil-safe.
-func (c *Collector) Ingest(id string, parent int64, worker string, spans []SpanData) (added, dropped int) {
-	if c == nil || len(spans) == 0 {
-		return 0, 0
-	}
-	c.mu.Lock()
-	t, ok := c.traces[id]
-	c.mu.Unlock()
-	if !ok {
-		return 0, len(spans)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	// First pass: allocate local ids for every remote id, so parent links can
-	// point forward (a child ends — and so is exported — before its parent).
-	idmap := make(map[int64]int64, len(spans))
-	for _, s := range spans {
-		if _, seen := idmap[s.ID]; !seen {
-			t.nextSpan++
-			idmap[s.ID] = t.nextSpan
-		}
-	}
-	for _, s := range spans {
-		if len(t.spans) >= maxSpansPerTrace {
-			t.dropped++
-			dropped++
-			continue
-		}
-		ns := s
-		ns.ID = idmap[s.ID]
-		if p, inBatch := idmap[s.Parent]; inBatch && s.Parent != s.ID {
-			ns.Parent = p
-		} else {
-			ns.Parent = parent
-		}
-		ns.Worker = worker
-		ns.Children = nil
-		t.spans = append(t.spans, ns)
-		added++
-	}
-	return added, dropped
 }
 
 // Trace exports the span tree of one trace id.

@@ -11,20 +11,19 @@ import (
 	"spacx/internal/exp/engine"
 )
 
-// SweepRun is one validated asynchronous sweep: the unit of work the jobs
-// subsystem (internal/serve/jobs) executes against the service. Preparing
-// and running are split so that submission can fail fast (400 on a bad
-// grid) while execution happens later, on the job's own context, with its
-// own progress phase.
+// SweepRun is one validated sweep: the unit of work a synchronous /v1/sweep
+// and the jobs subsystem (internal/serve/jobs) execute against the service.
+// Preparing and running are split so that submission can fail fast (400 on
+// a bad grid) while an async job runs later, on the job's own context, with
+// its own progress phase.
 type SweepRun struct {
 	svc     *Service
-	req     SweepRequest
 	queries []query
 	points  []SweepPoint
 }
 
-// PrepareSweep decodes and validates an async sweep body (the same JSON
-// shape as POST /v1/sweep) without resolving any point.
+// PrepareSweep decodes and validates a sweep body (POST /v1/sweep and
+// POST /v1/jobs take the same JSON shape) without resolving any point.
 func (s *Service) PrepareSweep(body []byte) (*SweepRun, error) {
 	var req SweepRequest
 	dec := json.NewDecoder(bytes.NewReader(body))
@@ -39,71 +38,24 @@ func (s *Service) PrepareSweep(body []byte) (*SweepRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &SweepRun{svc: s, req: req, queries: queries, points: points}, nil
+	return &SweepRun{svc: s, queries: queries, points: points}, nil
 }
 
 // Len is the sweep's point count.
 func (r *SweepRun) Len() int { return len(r.points) }
 
-// resolvePoint answers one sweep point through the service's full resolve
-// path — loss budget, response cache, singleflight, admission queue,
-// micro-batching. Queue-full rejections are retried with the Retry-After
-// backoff: background sweep work is deliberately last in line behind
-// interactive traffic. The three outcomes are disjoint: a body (success), a
-// deterministic point-level error string (the same string every replica of
-// this point would produce), or an abort error (cancellation or drain —
-// the point was not answered and the sweep must stop).
-func (s *Service) resolvePoint(ctx context.Context, q query) (body []byte, pointErr string, err error) {
-	if err := q.checkLossBudget(); err != nil {
-		return nil, err.Error(), nil
-	}
-	for {
-		body, _, err := s.resolve(ctx, q)
-		switch {
-		case err == nil:
-			return body, "", nil
-		case errors.Is(err, errQueueFull):
-			select {
-			case <-time.After(s.opts.RetryAfter):
-				continue
-			case <-ctx.Done():
-				return nil, "", ctx.Err()
-			}
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			return nil, "", err
-		case errors.Is(err, errDraining):
-			return nil, "", err
-		default:
-			return nil, err.Error(), nil
-		}
-	}
-}
-
-// Run executes every grid point and encodes the indented SweepResponse a
-// synchronous /v1/sweep would have returned. With a fabric coordinator
-// configured and workers attached the point space is sharded across the
-// fleet (see runFabric); otherwise every point goes through the local
-// resolve path. Both paths fill the same index-addressed points slice from
-// the same deterministic per-point bytes, so the result is byte-identical
-// either way.
+// Run answers every grid point through the service's resolve path with at
+// most MaxBatch points in flight, so one sweep occupies at most one
+// micro-batch worth of the admission queue, and encodes the indented
+// SweepResponse. An async job and a synchronous /v1/sweep (ph nil) both run
+// here, so their bodies are byte-identical.
 //
 // Per-point simulation failures land in the point's error field and count
 // toward failed; the run itself only fails when ctx is cancelled or the
 // server is draining. ph receives per-point progress accounting
 // (submitted/started/done), which is what the SSE stream reports.
 func (r *SweepRun) Run(ctx context.Context, ph *engine.Phase) (result []byte, failed int, err error) {
-	if c := r.svc.opts.Fabric; c != nil && c.Workers() > 0 {
-		return r.runFabric(ctx, ph, c)
-	}
-	return r.runLocal(ctx, ph)
-}
-
-// runLocal answers every point through the local resolve path with at most
-// MaxBatch points in flight, so one sweep occupies at most one micro-batch
-// worth of the admission queue. It is Run without the fabric, and the whole
-// of a synchronous /v1/sweep (ph nil).
-func (r *SweepRun) runLocal(ctx context.Context, ph *engine.Phase) ([]byte, int, error) {
-	err := engine.ForEachPhase(ctx, ph, r.svc.opts.MaxBatch, len(r.queries), func(i int) error {
+	err = engine.ForEachPhase(ctx, ph, r.svc.opts.MaxBatch, len(r.queries), func(i int) error {
 		return r.resolveInto(ctx, i)
 	})
 	if err != nil {
@@ -112,20 +64,40 @@ func (r *SweepRun) runLocal(ctx context.Context, ph *engine.Phase) ([]byte, int,
 	return r.encodeResult()
 }
 
-// resolveInto answers point i into the points slice; a non-nil error aborts
-// the sweep (cancellation or drain), anything deterministic lands in the
-// point itself.
+// resolveInto answers point i into the points slice through the service's
+// full resolve path — loss budget, response cache, singleflight, admission
+// queue, micro-batching. Queue-full rejections are retried after the
+// Retry-After backoff: sweep work is deliberately last in line behind
+// interactive traffic. A deterministic failure (over the loss budget, a
+// simulation error) lands in the point's error field; a non-nil return
+// (cancellation or drain) means the point was not answered and the sweep
+// must stop.
 func (r *SweepRun) resolveInto(ctx context.Context, i int) error {
-	body, pointErr, err := r.svc.resolvePoint(ctx, r.queries[i])
-	if err != nil {
-		return err
+	q := r.queries[i]
+	if err := q.checkLossBudget(); err != nil {
+		r.points[i].Error = err.Error()
+		return nil
 	}
-	if pointErr != "" {
-		r.points[i].Error = pointErr
-	} else {
-		r.points[i].Result = json.RawMessage(body)
+	for {
+		body, _, err := r.svc.resolve(ctx, q)
+		switch {
+		case err == nil:
+			r.points[i].Result = json.RawMessage(body)
+			return nil
+		case errors.Is(err, errQueueFull):
+			select {
+			case <-time.After(r.svc.opts.RetryAfter):
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded),
+			errors.Is(err, errDraining):
+			return err
+		default:
+			r.points[i].Error = err.Error()
+			return nil
+		}
 	}
-	return nil
 }
 
 // encodeResult renders the terminal sweep artifact and its failed count.

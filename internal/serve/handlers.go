@@ -184,8 +184,8 @@ type SweepResponse struct {
 	Points []SweepPoint `json:"points"`
 }
 
-// handleSweep answers POST /v1/sweep synchronously through the same local
-// loop as an async sweep job (SweepRun.runLocal): at most MaxBatch points
+// handleSweep answers POST /v1/sweep synchronously through the same loop
+// as an async sweep job (SweepRun.Run): at most MaxBatch points
 // in flight, each through the /v1/simulate resolve path — cached,
 // coalesced and batched identically, so a sweep warms the cache for later
 // point queries — and a queue-full point is retried after RetryAfter
@@ -206,7 +206,7 @@ func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, _, err := run.runLocal(r.Context(), nil)
+	body, _, err := run.Run(r.Context(), nil)
 	if err != nil {
 		s.writeResolveErr(w, err)
 		return

@@ -15,8 +15,8 @@
 //
 // The package deliberately does not import the serving core: execution is
 // injected as a Prepare function returning a SweepRun, which internal/serve
-// implements on top of its cache/queue/batching pipeline. A job is also the
-// unit a future distributed sweep fabric shards across workers.
+// implements on top of its cache/queue/batching pipeline — the same sweep
+// loop a synchronous /v1/sweep runs.
 package jobs
 
 import (

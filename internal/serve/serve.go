@@ -15,10 +15,9 @@
 //   - Singleflight: duplicate queries that arrive while the first is still
 //     in flight coalesce onto one computation; everyone gets the one
 //     result.
-//   - Micro-batching: a scheduler goroutine coalesces queued jobs (up to
-//     MaxBatch, waiting BatchWindow for stragglers) and fans each batch
-//     across the experiment engine's worker pool — the latency/throughput
-//     knob of the service.
+//   - Micro-batching: a scheduler goroutine coalesces the jobs already
+//     queued (up to MaxBatch) and fans each batch across the experiment
+//     engine's worker pool.
 //
 // The response LRU (with its singleflight table) is the service's one
 // cache: a miss runs plain sim.RunLayer for every layer. The model and
@@ -40,9 +39,7 @@ import (
 
 	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
-	"spacx/internal/obs/flightrec"
 	"spacx/internal/obs/tracing"
-	"spacx/internal/serve/fabric"
 )
 
 // Options tunes the service; every zero field gets a sensible default.
@@ -57,11 +54,6 @@ type Options struct {
 	// 16; 1 disables micro-batching). It also caps the points a sweep, sync
 	// or async, has in flight at once.
 	MaxBatch int
-	// BatchWindow is how long the scheduler waits for stragglers after the
-	// first job of a batch arrives. 0 dispatches immediately, coalescing
-	// only what is already queued — lowest latency; larger windows trade
-	// latency for throughput.
-	BatchWindow time.Duration
 	// CacheEntries is the response LRU capacity (<= 0 means 512).
 	CacheEntries int
 	// MaxRequestBatch is the largest accepted per-request batch size
@@ -83,18 +75,9 @@ type Options struct {
 	// carries an X-Spacx-Trace header and the span tree (queue wait, cache
 	// lookup, engine compute, simulator run) lands on /traces/{id}.
 	Traces *tracing.Collector
-	// Fabric, when non-nil, fans async sweeps out across the coordinator's
-	// worker fleet whenever workers are attached; with none the sweep runs
-	// locally, so a coordinator with an empty fleet is never slower than no
-	// coordinator at all.
-	Fabric *fabric.Coordinator
 	// MaxThermalSteps caps the /v1/thermal replay length, bounding the work
 	// one request can demand (<= 0 means 20000).
 	MaxThermalSteps int
-	// Flight, when non-nil, receives the thermal replay's throttle and
-	// heater-saturation transition events (the same ring /fleet/events
-	// dumps).
-	Flight *flightrec.Recorder
 }
 
 func (o Options) withDefaults() Options {
@@ -106,9 +89,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch <= 0 {
 		o.MaxBatch = 16
-	}
-	if o.BatchWindow < 0 {
-		o.BatchWindow = 0
 	}
 	if o.CacheEntries <= 0 {
 		o.CacheEntries = 512
@@ -293,33 +273,15 @@ func (s *Service) scheduler() {
 	}
 }
 
-// collect coalesces jobs queued behind first into one batch: up to MaxBatch
-// jobs, waiting at most BatchWindow for stragglers (zero window takes only
-// what is already queued).
+// collect coalesces the jobs already queued behind first into one batch of
+// at most MaxBatch jobs; it never waits for more to arrive.
 func (s *Service) collect(first *job) []*job {
 	batch := append(make([]*job, 0, s.opts.MaxBatch), first)
-	var window <-chan time.Time
-	if s.opts.BatchWindow > 0 {
-		t := time.NewTimer(s.opts.BatchWindow)
-		defer t.Stop()
-		window = t.C
-	}
 	for len(batch) < s.opts.MaxBatch {
-		if window == nil {
-			select {
-			case j := <-s.queue:
-				batch = append(batch, j)
-			default:
-				return batch
-			}
-			continue
-		}
 		select {
 		case j := <-s.queue:
 			batch = append(batch, j)
-		case <-window:
-			return batch
-		case <-s.quit:
+		default:
 			return batch
 		}
 	}

@@ -99,9 +99,8 @@ func decodeThermalRequest(data []byte, maxSteps int) (ThermalRequest, error) {
 // thermal replay synchronously. Replays are bounded (MaxThermalSteps steps,
 // maxThermalSimSec simulated seconds) and cheap — one analytical model
 // evaluation plus an RC integration — so they bypass the admission queue;
-// the model is the catalog's shared, read-only value. Throttle and
-// saturation transitions land on the service's flight recorder when one is
-// mounted (-fabric), so they show up on /fleet/events.
+// the model is the catalog's shared, read-only value. Each step of the
+// report carries its Throttle and Saturated state.
 func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST")
@@ -130,7 +129,6 @@ func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 		Steps:    req.Steps,
 		StepSec:  req.StepSec,
 		Feedback: feedback,
-		Flight:   s.opts.Flight,
 	})
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "thermal replay: %v", err)
