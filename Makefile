@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
-.PHONY: ci fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench bench-json bench-check golden
+.PHONY: ci fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench bench-json bench-check bench-module golden
 
-ci: fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench-check
+ci: fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench-check bench-module
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -93,6 +93,12 @@ bench-json:
 bench-check:
 	$(BENCH_EVENTSIM_CMD) | go run ./cmd/spacx-bench -area eventsim -compare BENCH_eventsim.json
 	$(BENCH_SIM_CMD) | go run ./cmd/spacx-bench -area sim -compare BENCH_sim.json
+
+# The end-to-end benchmark (e2ebench/) is its own Go module, so the root
+# build, vet and test skip it; this catches a change that breaks a symbol
+# its adapter calls before the benchmark run does.
+bench-module:
+	cd e2ebench && go vet ./... && go test ./...
 
 # Regenerate the golden experiment snapshots after a deliberate change.
 golden:

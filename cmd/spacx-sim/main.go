@@ -179,10 +179,18 @@ func run(o options) error {
 		}
 		return sim.RunLayerObserved(a, l, md, rec)
 	}
-	res, simErr := sim.Request{Accel: acc, Model: m, Mode: mode}.RunObserved(rec, runner)
+	log := rec.Logger()
+	log.Debug("sim: run start", "model", m.Name, "accel", acc.Name(), "mode", mode.String(),
+		"layers", len(m.Layers), "batch", o.batch)
+	res, simErr := sim.Request{Accel: acc, Model: m, Mode: mode}.Run(runner)
 	interrupted := errors.Is(simErr, context.Canceled)
 	if simErr != nil && !interrupted {
 		return simErr
+	}
+	if simErr == nil {
+		log.Debug("sim: run done", "model", m.Name, "accel", acc.Name(),
+			"execSec", res.ExecSec, "computeSec", res.ComputeSec,
+			"totalJ", res.TotalEnergy, "networkJ", res.NetworkEnergy)
 	}
 	if o.trace != "" && simErr == nil {
 		create := func(p string) (io.WriteCloser, error) { return os.Create(p) }

@@ -13,11 +13,6 @@
 // over independent sweep points (default: all CPUs). Results are bit-for-bit
 // identical at any worker count.
 //
-// Batched evaluation: -batch {auto,on,off} selects whether the sweep grids
-// route their layer evaluations through the structure-of-arrays batch kernel
-// (sim.RunBatch). The default, auto, batches only when the grid's points
-// share mapping cohorts; results are bit-for-bit identical in every mode.
-//
 // Observability: -v logs a structured progress line per sweep point to
 // stderr; -metrics writes per-point counters and duration histograms
 // (Prometheus text format, JSON when the path ends in .json, or stdout when
@@ -56,7 +51,6 @@ type options struct {
 	params string
 	m, n   int
 	jobs   int
-	batch  string
 
 	metrics    string
 	cpuProfile string
@@ -79,7 +73,6 @@ func main() {
 	flag.IntVar(&o.m, "m", 32, "chiplet count for the power sweep")
 	flag.IntVar(&o.n, "n", 32, "PEs per chiplet for the power sweep")
 	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "number of parallel simulation workers")
-	flag.StringVar(&o.batch, "batch", "auto", "batched layer kernel: auto (batch when the sweep shares mapping cohorts), on, or off")
 	flag.StringVar(&o.metrics, "metrics", "", "write a metrics snapshot to this path (Prometheus text format; .json extension switches to JSON)")
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this path on exit")
@@ -123,11 +116,6 @@ func run(o options) error {
 	if o.jobs < 1 {
 		return fmt.Errorf("-j must be >= 1, got %d", o.jobs)
 	}
-	switch o.batch {
-	case "auto", "on", "off":
-	default:
-		return fmt.Errorf("unknown batch mode %q (auto, on, off)", o.batch)
-	}
 	if o.httpLinger < 0 {
 		return fmt.Errorf("-http-linger must be >= 0, got %v", o.httpLinger)
 	}
@@ -153,9 +141,6 @@ func run(o options) error {
 		}
 	}
 	exp.SetParallelism(o.jobs)
-	if err := exp.SetBatchMode(o.batch); err != nil {
-		return err
-	}
 
 	// SIGINT/SIGTERM cancels the sweep: in-flight points are abandoned at
 	// the engine's next claim, and whatever was collected still flushes to

@@ -11,7 +11,7 @@ import (
 )
 
 func opts(sweep, params string, m, n int) options {
-	return options{sweep: sweep, params: params, m: m, n: n, jobs: 1, batch: "auto"}
+	return options{sweep: sweep, params: params, m: m, n: n, jobs: 1}
 }
 
 func TestRunRejectsBadInputs(t *testing.T) {
@@ -28,11 +28,6 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	bad.jobs = 0
 	if err := run(bad); err == nil {
 		t.Error("non-positive -j should fail")
-	}
-	bad = opts("power", "moderate", 32, 32)
-	bad.batch = "sometimes"
-	if err := run(bad); err == nil {
-		t.Error("unknown -batch mode should fail")
 	}
 }
 

@@ -15,7 +15,7 @@ type FlowCost struct {
 
 	// Times[i] is flows[i]'s isolated transfer time. Like the flow slice
 	// itself it is carved from a pooled slab and permanently owned by the
-	// caller (memoized sim.LayerResults retain it as FlowSecs).
+	// caller (sim.LayerResults retain it as FlowSecs).
 	Times []float64
 }
 

@@ -6,9 +6,9 @@ import (
 	"spacx/internal/network"
 )
 
-// Profiles — and the sim.LayerResults built from them — are memoized and
-// retained indefinitely by the experiment engine, so a mapper's per-layer
-// flow slice can never be recycled. It can, however, be batched: newFlows
+// Profiles — and the sim.LayerResults built from them — may be retained
+// indefinitely by their callers, so a mapper's per-layer flow slice can
+// never be recycled. It can, however, be batched: newFlows
 // carves each 3-4 element slice out of a pooled slab block, turning one
 // small garbage-collected allocation per Map call into one block allocation
 // per ~hundred calls. Carved memory is permanently owned by its Profile;

@@ -16,12 +16,10 @@
 package eventsim
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"spacx/internal/obs"
-	"spacx/internal/obs/tracing"
 )
 
 // serverSelectCrossover is the lane count above which admit maintains the
@@ -303,16 +301,6 @@ type Source struct {
 	// Fanout is the endpoint receptions per delivered packet (broadcast
 	// width); zero means 1.
 	Fanout int
-}
-
-// RunCtx is Run under a request-scoped trace: when ctx carries a trace (see
-// internal/obs/tracing) the whole event-driven run is one "eventsim:run"
-// span. The allocation-free hot loop is untouched — the span wraps Run from
-// the outside, and an untraced context costs one context value lookup.
-func (s *Sim) RunCtx(ctx context.Context, sources []Source) (Stats, error) {
-	_, sp := tracing.StartSpan(ctx, "eventsim:run")
-	defer sp.End()
-	return s.Run(sources)
 }
 
 // Run injects all sources (Poisson arrivals per class) and processes events

@@ -109,45 +109,24 @@ type cacheEntry[V any] struct {
 	once sync.Once
 	v    V
 	err  error
-	done atomic.Bool // set inside once.Do, after v/err are written
 }
 
 // Do returns the cached result for key, computing and storing it on first
 // use.
 func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
 	e := c.entry(key)
-	e.once.Do(func() {
-		e.v, e.err = compute()
-		e.done.Store(true)
-	})
+	e.once.Do(func() { e.v, e.err = compute() })
 	return e.v, e.err
 }
 
 // Put stores a precomputed result for key, winning only if no computation
-// for that key has completed or started. Batch prepasses use it to seed the
-// cache with results evaluated outside Do; a concurrent Do for the same key
-// blocks until the Put lands and then returns the seeded value.
+// for that key has completed or started. Callers that evaluate a key outside
+// Do use it to seed the cache (the Fig 16 packet-run memo stores observed
+// runs this way); a concurrent Do for the same key blocks until the Put
+// lands and then returns the seeded value.
 func (c *Cache[K, V]) Put(key K, v V, err error) {
 	e := c.entry(key)
-	e.once.Do(func() {
-		e.v, e.err = v, err
-		e.done.Store(true)
-	})
-}
-
-// Cached returns key's result without computing anything: ok is false when
-// the key is absent, its computation is still in flight, or it memoized an
-// error. It never blocks, so prepasses can use it to skip work already
-// memoized.
-func (c *Cache[K, V]) Cached(key K) (V, bool) {
-	c.mu.Lock()
-	e := c.m[key]
-	c.mu.Unlock()
-	if e == nil || !e.done.Load() {
-		var zero V
-		return zero, false
-	}
-	return e.v, e.err == nil
+	e.once.Do(func() { e.v, e.err = v, err })
 }
 
 func (c *Cache[K, V]) entry(key K) *cacheEntry[V] {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -206,5 +207,63 @@ func TestForEachPreCancelledRunsNothing(t *testing.T) {
 	}
 	if ran.Load() != 0 {
 		t.Errorf("%d points ran under a pre-cancelled context", ran.Load())
+	}
+}
+
+func TestCachePutAndCached(t *testing.T) {
+	var c Cache[string, int]
+	noCompute := func() (int, error) {
+		t.Fatal("Do must not recompute a seeded key")
+		return 0, nil
+	}
+	c.Put("a", 42, nil)
+	// A Put result short-circuits Do without recomputing.
+	if v, err := c.Do("a", noCompute); err != nil || v != 42 {
+		t.Fatalf("Do after Put = %d, %v", v, err)
+	}
+	// First writer wins; a later Put loses to the existing entry.
+	c.Put("a", 7, nil)
+	if v, _ := c.Do("a", noCompute); v != 42 {
+		t.Fatalf("second Put must lose: got %d", v)
+	}
+	// A Put never overrides a computed entry either.
+	if v, _ := c.Do("c", func() (int, error) { return 1, nil }); v != 1 {
+		t.Fatalf("Do computed %d, want 1", v)
+	}
+	c.Put("c", 2, nil)
+	if v, _ := c.Do("c", noCompute); v != 1 {
+		t.Fatalf("Put after Do must lose: got %d", v)
+	}
+	// A seeded error is memoized like a computed one.
+	boom := errors.New("boom")
+	c.Put("b", 0, boom)
+	if _, err := c.Do("b", noCompute); err != boom {
+		t.Fatalf("Do must return the seeded error, got %v", err)
+	}
+}
+
+func TestCachePutConcurrentWithDo(t *testing.T) {
+	var c Cache[int, int]
+	var wg sync.WaitGroup
+	for g := 0; g < 32; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			if g%2 == 0 {
+				c.Put(1, 5, nil)
+			} else {
+				if v, err := c.Do(1, func() (int, error) { return 5, nil }); err != nil || v != 5 {
+					t.Errorf("Do = %d, %v", v, err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	v, err := c.Do(1, func() (int, error) {
+		t.Fatal("Do must not recompute a settled key")
+		return 0, nil
+	})
+	if err != nil || v != 5 {
+		t.Fatalf("Do = %d, %v", v, err)
 	}
 }

@@ -57,7 +57,13 @@ func loadFor(acc sim.Accelerator, m dnn.Model) (fig16Load, error) {
 			return fig16Load{}, err
 		}
 		out.execSec += r.ExecSec * float64(l.Repeat)
-		for _, f := range r.Profile.Flows {
+		// The layer memo keeps no mapping, so map the layer here for its
+		// flows.
+		p, err := acc.Flow.Map(l, acc.Arch)
+		if err != nil {
+			return fig16Load{}, err
+		}
+		for _, f := range p.Flows {
 			ff := f.Normalize()
 			b := ff.UniqueBytes * int64(l.Repeat)
 			if out.broadcast {

@@ -23,10 +23,10 @@ type Fig22Row struct {
 
 // Fig22 sweeps the chiplet count and PE count as in the paper: M in
 // {16, 32, 64} with N=32, and N in {16, 32, 64} with M=32. The fifteen
-// (size, accelerator) points run across the worker pool; observed runs keep
-// their per-point recorder instrumentation (the obs registry is
-// mutex-guarded, and per-point timers are started and stopped on the same
-// goroutine).
+// (size, accelerator) points run across the worker pool, unmemoized and
+// through sim.RunLayerObserved, so an installed recorder sees every layer's
+// spacx_sim_* series (the obs registry is mutex-guarded, and per-point
+// timers are started and stopped on the same goroutine).
 func Fig22() ([]Fig22Row, error) {
 	res := dnn.ResNet50()
 	sizes := [][2]int{{16, 32}, {32, 32}, {64, 32}, {32, 16}, {32, 64}}
@@ -59,9 +59,12 @@ func Fig22() ([]Fig22Row, error) {
 			tasks = append(tasks, task{m, n, acc})
 		}
 	}
+	observed := func(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
+		return sim.RunLayerObserved(acc, l, mode, recorder)
+	}
 	return mapPoints("fig22", len(tasks), func(i int) (Fig22Row, error) {
 		t := tasks[i]
-		r, err := sim.RunObserved(t.acc, res, sim.WholeInference, recorder)
+		r, err := sim.Request{Accel: t.acc, Model: res, Mode: sim.WholeInference}.Run(observed)
 		if err != nil {
 			return Fig22Row{}, err
 		}

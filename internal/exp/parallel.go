@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"runtime"
 
+	"spacx/internal/dataflow"
 	"spacx/internal/dnn"
 	"spacx/internal/exp/engine"
 	"spacx/internal/network"
@@ -27,9 +28,6 @@ func SetParallelism(n int) {
 	}
 	parallelism = n
 }
-
-// Parallelism reports the current driver worker count.
-func Parallelism() int { return parallelism }
 
 // layerKey identifies one memoizable layer evaluation: the accelerator
 // configuration (architecture geometry, buffer sizes, dataflow, and the
@@ -69,7 +67,8 @@ func keyFor(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (layerKey, bool) {
 // (Fig 13 and Fig 15 share models, the adaptive study re-runs every layer on
 // 16 granularities, Fig 16's load derivation replays whole models). Results
 // are deterministic, so sharing them is invisible in the output. Cached
-// LayerResults are shared shallowly — drivers must not mutate them.
+// LayerResults carry no mapping (see runLayerCached) and are shared
+// shallowly — drivers must not mutate them.
 var layerCache engine.Cache[layerKey, sim.LayerResult]
 
 // detailedCache memoizes epoch-pipelined detailed-engine evaluations, which
@@ -88,16 +87,20 @@ func ResetCaches() {
 // CacheSize reports how many layer evaluations are currently memoized.
 func CacheSize() int { return layerCache.Len() + detailedCache.Len() }
 
-// runLayerCached is the memoized sim.RunLayer every driver grid uses.
-// Accelerators whose network model has no fingerprint are evaluated
-// directly (never cached).
+// runLayerCached is the memoized sim.RunLayer every driver evaluates its
+// layers through. The memo keeps each result without its mapping (Profile,
+// FlowSecs): no driver reads those fields, and dropping them keeps the
+// memo's heap to the scalar results. Accelerators whose network model has
+// no fingerprint are evaluated directly (never cached).
 func runLayerCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
 	k, ok := keyFor(acc, l, mode)
 	if !ok {
 		return sim.RunLayer(acc, l, mode)
 	}
 	return layerCache.Do(k, func() (sim.LayerResult, error) {
-		return sim.RunLayer(acc, l, mode)
+		r, err := sim.RunLayer(acc, l, mode)
+		r.Profile, r.FlowSecs = dataflow.Profile{}, nil
+		return r, err
 	})
 }
 
@@ -112,27 +115,11 @@ func runLayerDetailedCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (si
 	})
 }
 
-// layerWrap optionally wraps the memoized layer evaluator every driver
-// aggregates through — the seam the thermal co-simulation uses to derate
-// communication, and the differential suite uses to prove the
-// thermal-aware path is bit-identical to the static one when feedback is
-// off. The wrap runs outside the cache, so cached results stay pristine.
-var layerWrap func(sim.LayerRunner) sim.LayerRunner
-
-// SetLayerWrap installs (or, with nil, removes) the layer-evaluator wrap.
-// Like SetRecorder, it is not safe to call concurrently with a running
-// driver.
-func SetLayerWrap(w func(sim.LayerRunner) sim.LayerRunner) { layerWrap = w }
-
 // runModelCached is sim.Run with every layer evaluation memoized; the
-// aggregation goes through sim.RunVia, so results are bit-identical to
-// sim.Run.
+// aggregation goes through sim.Request.Run, so results are bit-identical to
+// sim.Run apart from the mapping runLayerCached drops.
 func runModelCached(acc sim.Accelerator, m dnn.Model, mode sim.Mode) (sim.ModelResult, error) {
-	runner := sim.LayerRunner(runLayerCached)
-	if layerWrap != nil {
-		runner = layerWrap(runner)
-	}
-	return sim.RunVia(acc, m, mode, runner)
+	return sim.Request{Accel: acc, Model: m, Mode: mode}.Run(runLayerCached)
 }
 
 // runGrid evaluates every (model, accelerator) pair of a sweep across the
@@ -140,12 +127,6 @@ func runModelCached(acc sim.Accelerator, m dnn.Model, mode sim.Mode) (sim.ModelR
 // normalization folds then walk the grid in the original sequential order;
 // sweep names the progress phase and metric labels the points land under.
 func runGrid(sweep string, models []dnn.Model, accs []sim.Accelerator, mode sim.Mode) ([][]sim.ModelResult, error) {
-	// Batched prepass: when the grid's points share mapping cohorts, evaluate
-	// the distinct uncached layers through sim.RunBatch and seed the layer
-	// cache; the per-model aggregation below then only replays cache hits.
-	if pts := gridPoints(models, accs, mode); useBatch(pts) {
-		primeLayers(pts)
-	}
 	flat, err := mapPoints(sweep, len(models)*len(accs), func(i int) (sim.ModelResult, error) {
 		m := models[i/len(accs)]
 		acc := accs[i%len(accs)]

@@ -2,8 +2,6 @@ package exp
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"spacx/internal/dnn"
@@ -186,37 +184,5 @@ func TestThermalCapacityTable(t *testing.T) {
 	top := rows[len(rows)-1]
 	if top.OfferedUtil != 1.0 || top.AchievedUtil >= 1.0 || !top.Saturated {
 		t.Errorf("full-load equilibrium not degraded: %+v", top)
-	}
-}
-
-// Satellite: with the thermal-aware layer wrap installed at unit throttle
-// (feedback off), every existing golden driver must replay byte-identical
-// to its checked-in file — the static path is provably unchanged.
-func TestFeedbackOffGoldensBitIdentical(t *testing.T) {
-	SetLayerWrap(func(base sim.LayerRunner) sim.LayerRunner {
-		return sim.ThermalAwareRunner(base, func() float64 { return 1 })
-	})
-	defer SetLayerWrap(nil)
-	ResetCaches()
-	defer ResetCaches()
-
-	for _, d := range goldenDrivers {
-		if d.name == "thermal" {
-			continue // the thermal golden is new in this change, not a static replay
-		}
-		t.Run(d.name, func(t *testing.T) {
-			v, err := d.run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := goldenBytes(t, v)
-			want, err := os.ReadFile(filepath.Join("testdata", d.name+".golden.json"))
-			if err != nil {
-				t.Fatalf("missing golden: %v", err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("%s diverges through the thermal-aware path\n%s", d.name, goldenDiff(want, got))
-			}
-		})
 	}
 }

@@ -20,7 +20,7 @@ type SPACXMachine struct {
 	posSlots     int // GEF * singleGroups: output positions in flight
 	k3           int // GK: k values per single group
 
-	// Stats accumulated across Run calls; reset with ResetStats.
+	// Stats accumulated across Run calls.
 	Stats Stats
 }
 
@@ -62,9 +62,6 @@ func NewSPACX(cfg spacxnet.Config) (*SPACXMachine, error) {
 		k3:           cfg.GK,
 	}, nil
 }
-
-// ResetStats clears the accumulated counters.
-func (m *SPACXMachine) ResetStats() { m.Stats = Stats{} }
 
 // Run executes one layer and returns the ofmap. The schedule follows
 // Figure 9 with a row-major linearization of the (e1,f1,e2,f2,e3,f3)

@@ -122,8 +122,7 @@ func (c Config) LocalWaveguidesPerChiplet() int { return c.SingleGroupsPerChiple
 // PE-to-GB return).
 func (c Config) Wavelengths() int { return c.GK + c.GEF }
 
-// CrossWavelengths returns |X| and SingleWavelengths |Y|.
-func (c Config) CrossWavelengths() int  { return c.GK }
+// SingleWavelengths returns |Y|, the single-chiplet wavelength group.
 func (c Config) SingleWavelengths() int { return c.GEF }
 
 // PEsPerWaveguide is Table I row 4: one global waveguide serves GEF chiplets

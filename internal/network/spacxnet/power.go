@@ -134,10 +134,6 @@ func (c Config) CrossChannelBudget() *photonic.PathBudget { return c.crossChanne
 // budget for reporting.
 func (c Config) SingleChannelBudget() *photonic.PathBudget { return c.singleChannelBudget() }
 
-// ReturnChannelBudget exposes the PE-to-GB channel loss budget for
-// reporting.
-func (c Config) ReturnChannelBudget() *photonic.PathBudget { return c.returnChannelBudget() }
-
 // PowerPoint is one granularity sample of the Figure 19/20 sweep.
 type PowerPoint struct {
 	GK, GEF int

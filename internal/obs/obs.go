@@ -46,12 +46,6 @@ type Recorder interface {
 	Logger() *slog.Logger
 }
 
-// Snapshotter is implemented by recorders that can export their collected
-// state; the simulator uses it to attach a snapshot to its results.
-type Snapshotter interface {
-	Snapshot() Snapshot
-}
-
 // nop discards everything.
 type nop struct{}
 

@@ -83,14 +83,10 @@ func TestDefaultBucketFamilies(t *testing.T) {
 	if got := bucketsFor("active_pes"); got[0] != 1 || got[len(got)-1] != 65536 {
 		t.Errorf("pow2 buckets wrong: %v", got)
 	}
-	if got := bucketsFor("spacx_sim_batch_ns_per_point"); got[0] != 10 || got[len(got)-1] != 1e7 {
-		t.Errorf("nanosecond buckets wrong: %v .. %v", got[0], got[len(got)-1])
-	}
 	for name, b := range map[string][]float64{
-		"a_seconds":      bucketsFor("a_seconds"),
-		"a_ratio":        bucketsFor("a_ratio"),
-		"a_count":        bucketsFor("a_count"),
-		"a_ns_per_point": bucketsFor("a_ns_per_point"),
+		"a_seconds": bucketsFor("a_seconds"),
+		"a_ratio":   bucketsFor("a_ratio"),
+		"a_count":   bucketsFor("a_count"),
 	} {
 		for i := 1; i < len(b); i++ {
 			if b[i] <= b[i-1] {

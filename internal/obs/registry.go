@@ -212,10 +212,6 @@ var (
 	unitBuckets = []float64{0.01, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
 	// pow2Buckets covers counts (PEs, widths, streams) up to 64 k.
 	pow2Buckets = buildPow2Buckets(1 << 16)
-	// nanoBuckets spans 10 ns .. 10 ms on the same 1-2.5-5 log scale, for
-	// per-item nanosecond costs (the batch kernel's ns-per-point) that
-	// overflow the pow2 count scale and underflow the seconds scale.
-	nanoBuckets = buildLogBuckets(1, 7, []float64{1, 2.5, 5})
 )
 
 // bucketsFor picks default histogram bounds from the metric name: seconds
@@ -227,8 +223,6 @@ func bucketsFor(name string) []float64 {
 		return timeBuckets
 	case strings.HasSuffix(name, "_ratio") || strings.HasSuffix(name, "_utilization"):
 		return unitBuckets
-	case strings.HasSuffix(name, "_ns_per_point"):
-		return nanoBuckets
 	default:
 		return pow2Buckets
 	}
@@ -337,8 +331,7 @@ func (h HistogramData) Quantile(q float64) float64 {
 	return h.Max
 }
 
-// Snapshot implements Snapshotter: a deep, deterministic (sorted) copy of
-// the current state.
+// Snapshot returns a deep, deterministic (sorted) copy of the current state.
 func (r *Registry) Snapshot() Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -406,5 +399,4 @@ func (r *Registry) HistogramCount(name string, labels ...Label) uint64 {
 }
 
 var _ Recorder = (*Registry)(nil)
-var _ Snapshotter = (*Registry)(nil)
 var _ fmt.Stringer = metricKind(0)

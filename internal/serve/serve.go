@@ -186,9 +186,6 @@ func (s *Service) Draining() bool {
 	}
 }
 
-// CacheLen reports the response-cache entry count (a test convenience).
-func (s *Service) CacheLen() int { return s.cache.len() }
-
 // resolve answers one validated query: from the response LRU, by joining an
 // in-flight identical computation, or by enqueueing a new job and waiting.
 // src reports how the bytes were obtained: "hit", "coalesced", or "miss".
@@ -337,12 +334,16 @@ func (s *Service) finish(j *job, body []byte, err error) {
 }
 
 // execute runs one simulation and encodes the response body. ctx carries
-// the admitting request's trace into the simulator (sim:model span);
-// cancellation is not consulted here — an admitted job always runs to
-// completion so its result lands in the cache.
+// the admitting request's trace, under which the model evaluation is one
+// "sim:model" span, so the simulator's own compute time is attributable
+// against the queue wait and cache lookups that preceded it. Cancellation is
+// not consulted here — an admitted job always runs to completion so its
+// result lands in the cache.
 func (s *Service) execute(ctx context.Context, q query) ([]byte, error) {
 	stop := s.rec.Time("spacx_serve_sim_seconds")
-	res, err := q.req.RunCtx(ctx, nil)
+	_, sp := tracing.StartSpan(ctx, "sim:model")
+	res, err := q.req.Run(nil)
+	sp.End()
 	stop()
 	s.rec.Count("spacx_serve_engine_runs_total", 1)
 	if err != nil {

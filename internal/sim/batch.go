@@ -2,13 +2,11 @@ package sim
 
 import (
 	"fmt"
-	"time"
 
 	"spacx/internal/dataflow"
 	"spacx/internal/dnn"
 	"spacx/internal/energy"
 	"spacx/internal/network"
-	"spacx/internal/obs"
 	"spacx/internal/photonic"
 )
 
@@ -56,9 +54,9 @@ func cohortKeyFor(p Point) (cohortKey, bool) {
 // CohortKey returns a deterministic string identifying the point's mapping
 // cohort, or ok=false when the accelerator's network model has no
 // fingerprint (such points fall back to the scalar kernel inside RunBatch).
-// Chunked feeders (engine.MapBatch callers) sort their point sets by this
-// key so cohort members land in the same chunk and actually share their
-// mapping work.
+// Callers that split a point set across RunBatch calls sort it by this key
+// so cohort members land in the same call and actually share their mapping
+// work.
 func (p Point) CohortKey() (string, bool) {
 	k, ok := cohortKeyFor(p)
 	if !ok {
@@ -78,32 +76,20 @@ func (p Point) CohortKey() (string, bool) {
 //
 // Results are index-addressed: out[i] corresponds to pts[i] and is
 // bit-identical to RunLayer(pts[i].Accel, pts[i].Layer, pts[i].Mode).
-// Cohort members share their Profile and FlowSecs shallowly, exactly like
-// memoized LayerResults — callers must not mutate them. On failure every
+// Cohort members share their Profile and FlowSecs shallowly — callers must
+// not mutate them. On failure every
 // other point is still evaluated and the error of the lowest-index failing
 // point is returned, with failed entries left zero — the experiment
 // engine's convention.
 func RunBatch(pts []Point) ([]LayerResult, error) {
-	return RunBatchObserved(pts, obs.Nop())
-}
-
-// RunBatchObserved is RunBatch with kernel telemetry: batch size, cohort
-// count and size distribution, per-point evaluation time, and scalar
-// fallbacks land on rec as the spacx_sim_batch_* series.
-func RunBatchObserved(pts []Point, rec obs.Recorder) ([]LayerResult, error) {
 	out := make([]LayerResult, len(pts))
 	if len(pts) == 0 {
 		return out, nil
 	}
-	enabled := rec.Enabled()
-	var start time.Time
-	if enabled {
-		start = time.Now()
-	}
 
 	// Partition into mapping cohorts, preserving first-appearance order so
-	// the evaluation order — and any telemetry recorded along the way — is
-	// a pure function of the input, never of map iteration.
+	// the evaluation order is a pure function of the input, never of map
+	// iteration.
 	groups := make(map[cohortKey]int, len(pts))
 	cohorts := make([][]int, 0, len(pts))
 	var fallback []int
@@ -256,9 +242,6 @@ func RunBatchObserved(pts []Point, rec obs.Recorder) ([]LayerResult, error) {
 			r.DRAMBytes = db[j]
 			r.FlowSecs = fc.Times
 		}
-		if enabled {
-			rec.Observe("spacx_sim_batch_cohort_size", float64(len(idx)))
-		}
 	}
 
 	// Accelerators whose network model has no fingerprint cannot be
@@ -270,15 +253,6 @@ func RunBatchObserved(pts []Point, rec obs.Recorder) ([]LayerResult, error) {
 			continue
 		}
 		out[i] = r
-	}
-
-	if enabled {
-		rec.Count("spacx_sim_batch_runs_total", 1)
-		rec.Count("spacx_sim_batch_points_total", float64(len(pts)))
-		rec.Count("spacx_sim_batch_cohorts_total", float64(len(cohorts)))
-		rec.Count("spacx_sim_batch_fallback_points_total", float64(len(fallback)))
-		rec.Observe("spacx_sim_batch_ns_per_point",
-			float64(time.Since(start).Nanoseconds())/float64(len(pts)))
 	}
 	return out, firstErr
 }

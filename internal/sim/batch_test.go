@@ -7,7 +7,6 @@ import (
 
 	"spacx/internal/dnn"
 	"spacx/internal/network"
-	"spacx/internal/obs"
 )
 
 // batchTestAccels is a mixed pool: three architectures, a GB-capacity ladder
@@ -154,8 +153,7 @@ func TestRunBatchScalarFallback(t *testing.T) {
 		{Accel: SPACXAccel(), Layer: dnn.NewFC("fc", 256, 128), Mode: LayerByLayer},
 		{Accel: acc, Layer: dnn.NewFC("fc", 256, 128), Mode: WholeInference},
 	}
-	rec := obs.NewRegistry(nil)
-	got, err := RunBatchObserved(pts, rec)
+	got, err := RunBatch(pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,44 +163,10 @@ func TestRunBatchScalarFallback(t *testing.T) {
 			t.Fatalf("fallback point %d differs", i)
 		}
 	}
-	if n := rec.Counter("spacx_sim_batch_fallback_points_total"); n != 2 {
-		t.Fatalf("fallback counter = %v, want 2", n)
-	}
-}
-
-func TestRunBatchMetrics(t *testing.T) {
-	rec := obs.NewRegistry(nil)
-	l := dnn.NewSameConv("c", 28, 64, 64, 3, 1)
-	pts := []Point{
-		{Accel: SPACXAccel(), Layer: l, Mode: LayerByLayer},
-		{Accel: SPACXAccel(), Layer: l, Mode: WholeInference},
-		{Accel: SimbaAccel(), Layer: l, Mode: LayerByLayer},
-	}
-	if _, err := RunBatchObserved(pts, rec); err != nil {
-		t.Fatal(err)
-	}
-	checks := map[string]float64{
-		"spacx_sim_batch_runs_total":            1,
-		"spacx_sim_batch_points_total":          3,
-		"spacx_sim_batch_cohorts_total":         2,
-		"spacx_sim_batch_fallback_points_total": 0,
-	}
-	for name, want := range checks {
-		if got := rec.Counter(name); got != want {
-			t.Errorf("%s = %v, want %v", name, got, want)
-		}
-	}
-	if n := rec.HistogramCount("spacx_sim_batch_cohort_size"); n != 2 {
-		t.Errorf("cohort_size observations = %d, want 2", n)
-	}
-	if n := rec.HistogramCount("spacx_sim_batch_ns_per_point"); n != 1 {
-		t.Errorf("ns_per_point observations = %d, want 1", n)
-	}
 }
 
 // TestRunBatchSharedProfile pins the sharing contract: cohort members return
-// the same Profile value and the same FlowSecs backing array, exactly like
-// memoized layer results.
+// the same Profile value and the same FlowSecs backing array.
 func TestRunBatchSharedProfile(t *testing.T) {
 	l := dnn.NewSameConv("c", 28, 64, 64, 3, 1)
 	pts := []Point{

@@ -49,7 +49,7 @@ func BenchmarkRunModelNop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunObserved(acc, m, WholeInference, obs.Nop()); err != nil {
+		if _, err := Run(acc, m, WholeInference); err != nil {
 			b.Fatal(err)
 		}
 	}

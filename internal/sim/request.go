@@ -1,19 +1,17 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 
 	"spacx/internal/dnn"
-	"spacx/internal/obs"
-	"spacx/internal/obs/tracing"
+	"spacx/internal/network"
 )
 
 // Request bundles the parameters of one simulation query — accelerator,
-// model, residency mode, and batch size — and is the adapter a serving or
-// CLI layer uses to turn a decoded request into a RunVia call. The batch
-// multiplier is applied to a copy of the model, so a Request never mutates
-// the layer definitions it was built from.
+// model, residency mode, and batch size — and its Run method is the one
+// model aggregation every caller goes through. The batch multiplier is
+// applied to a copy of the model, so a Request never mutates the layer
+// definitions it was built from.
 type Request struct {
 	Accel Accelerator
 	Model dnn.Model
@@ -57,60 +55,41 @@ func (r Request) Points() []Point {
 }
 
 // Run evaluates the request through the given layer runner (nil means
-// RunLayer). The aggregation goes through RunVia, so any deterministic
-// runner — including a memoized one — yields results bit-identical to Run.
+// RunLayer) and aggregates the layer results in the model's layer order, so
+// any deterministic runner — including a memoized one — yields results
+// bit-identical to Run. Callers that need observability or cancellation
+// wrap RunLayerObserved or a context check in their runner.
 func (r Request) Run(run LayerRunner) (ModelResult, error) {
 	if err := r.Validate(); err != nil {
 		return ModelResult{}, err
 	}
-	return RunVia(r.Accel, r.batched(), r.Mode, run)
-}
-
-// RunCtx is Run under a request-scoped trace: when ctx carries a trace (see
-// internal/obs/tracing) the whole model evaluation is wrapped in a
-// "sim:model" span, so the simulator's own compute time is attributable
-// against the queue wait and cache lookups that preceded it. An untraced
-// context costs one context value lookup.
-func (r Request) RunCtx(ctx context.Context, run LayerRunner) (ModelResult, error) {
-	_, sp := tracing.StartSpan(ctx, "sim:model")
-	defer sp.End()
-	return r.Run(run)
-}
-
-// RunObserved is Run with observability: progress logs flow into rec, the
-// default runner becomes RunLayerObserved, and when rec can snapshot its
-// state (an *obs.Registry) the snapshot is attached to the result's Metrics
-// field. A non-nil run overrides the layer runner — callers that need both
-// observability and, say, cancellation checks wrap RunLayerObserved
-// themselves.
-func (r Request) RunObserved(rec obs.Recorder, run LayerRunner) (ModelResult, error) {
-	if err := r.Validate(); err != nil {
-		return ModelResult{}, err
-	}
-	enabled := rec.Enabled()
-	m := r.batched()
-	if enabled {
-		rec.Logger().Debug("sim: run start",
-			"model", m.Name, "accel", r.Accel.Name(), "mode", r.Mode.String(),
-			"layers", len(m.Layers), "batch", r.Batch)
-	}
 	if run == nil {
-		run = func(acc Accelerator, l dnn.Layer, mode Mode) (LayerResult, error) {
-			return RunLayerObserved(acc, l, mode, rec)
+		run = RunLayer
+	}
+	m := r.batched()
+	res := ModelResult{Model: m.Name, Accel: r.Accel.Name(), Mode: r.Mode}
+	res.Layers = make([]LayerResult, 0, len(m.Layers))
+	for _, l := range m.Layers {
+		lr, err := run(r.Accel, l, r.Mode)
+		if err != nil {
+			return ModelResult{}, err
 		}
-	}
-	res, err := RunVia(r.Accel, m, r.Mode, run)
-	if err != nil {
-		return ModelResult{}, err
-	}
-	if enabled {
-		rec.Logger().Debug("sim: run done",
-			"model", m.Name, "accel", r.Accel.Name(),
-			"execSec", res.ExecSec, "computeSec", res.ComputeSec,
-			"totalJ", res.TotalEnergy, "networkJ", res.NetworkEnergy)
-		if sn, ok := rec.(obs.Snapshotter); ok {
-			s := sn.Snapshot()
-			res.Metrics = &s
+		res.Layers = append(res.Layers, lr)
+		rep := float64(l.Repeat)
+		res.ExecSec += lr.ExecSec * rep
+		res.ComputeSec += lr.ComputeSec * rep
+		res.CommSec += lr.CommSec * rep
+		res.ComputeEnergy += lr.ComputeEnergy * rep
+		res.NetworkEnergy += lr.NetworkEnergy * rep
+		res.TotalEnergy += lr.TotalEnergy * rep
+		res.NetDynamic = res.NetDynamic.Add(network.EnergyParts{
+			EO:         lr.NetDynamic.EO * rep,
+			OE:         lr.NetDynamic.OE * rep,
+			Electrical: lr.NetDynamic.Electrical * rep,
+		})
+		res.NetStaticJ = network.StaticParts{
+			Laser:   res.NetStaticJ.Laser + lr.NetStaticJ.Laser*rep,
+			Heating: res.NetStaticJ.Heating + lr.NetStaticJ.Heating*rep,
 		}
 	}
 	return res, nil

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"spacx/internal/dnn"
-	"spacx/internal/obs"
 )
 
 func TestRequestRunMatchesRun(t *testing.T) {
@@ -67,25 +66,13 @@ func TestRequestValidateRejectsNegativeBatch(t *testing.T) {
 	}
 }
 
-func TestRequestRunObservedAttachesSnapshot(t *testing.T) {
-	reg := obs.NewRegistry(nil)
-	r := Request{Accel: SPACXAccel(), Model: dnn.AlexNet(), Mode: WholeInference}
-	res, err := r.RunObserved(reg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics == nil || len(res.Metrics.Counters) == 0 {
-		t.Error("RunObserved did not attach a metrics snapshot")
-	}
-}
-
 func TestRequestRunObservedCustomRunnerCancels(t *testing.T) {
 	// The custom-runner hook is how CLIs thread signal cancellation into a
 	// sequential model run: the runner checks the context per layer.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := Request{Accel: SPACXAccel(), Model: dnn.AlexNet(), Mode: WholeInference}
-	_, err := r.RunObserved(obs.Nop(), func(acc Accelerator, l dnn.Layer, mode Mode) (LayerResult, error) {
+	_, err := r.Run(func(acc Accelerator, l dnn.Layer, mode Mode) (LayerResult, error) {
 		if err := ctx.Err(); err != nil {
 			return LayerResult{}, err
 		}

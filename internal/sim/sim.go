@@ -93,11 +93,6 @@ type ModelResult struct {
 	TotalEnergy   float64
 	NetDynamic    network.EnergyParts
 	NetStaticJ    network.StaticParts
-
-	// Metrics is the observability snapshot of the run; nil unless the
-	// model was simulated via RunObserved with a snapshot-capable recorder
-	// (an *obs.Registry).
-	Metrics *obs.Snapshot `json:"Metrics,omitempty"`
 }
 
 // RunLayer simulates one layer instance on the accelerator.
@@ -227,57 +222,11 @@ func dramBytes(l dnn.Layer, a dataflow.Arch, mode Mode) int64 {
 
 // Run simulates a full model (all layer instances).
 func Run(acc Accelerator, m dnn.Model, mode Mode) (ModelResult, error) {
-	return RunObserved(acc, m, mode, obs.Nop())
+	return Request{Accel: acc, Model: m, Mode: mode}.Run(nil)
 }
 
-// LayerRunner evaluates one layer instance. RunVia threads a custom runner
-// through the model aggregation so memoizing engines (internal/exp) can
-// substitute cached layer evaluations without duplicating — and risking
-// drift from — the aggregation arithmetic below.
+// LayerRunner evaluates one layer instance. Request.Run threads a custom
+// runner through the model aggregation so memoizing engines (internal/exp)
+// can substitute cached layer evaluations without duplicating — and risking
+// drift from — the aggregation arithmetic.
 type LayerRunner func(Accelerator, dnn.Layer, Mode) (LayerResult, error)
-
-// RunObserved is Run with observability threaded through every layer; when
-// rec can snapshot its state (an *obs.Registry), the snapshot is attached to
-// the result's Metrics field.
-func RunObserved(acc Accelerator, m dnn.Model, mode Mode, rec obs.Recorder) (ModelResult, error) {
-	return Request{Accel: acc, Model: m, Mode: mode}.RunObserved(rec, nil)
-}
-
-// RunVia aggregates a full model through the given layer runner (nil means
-// RunLayer). The aggregation order is the layer order of the model, so any
-// deterministic runner — including a memoized one — yields results
-// bit-identical to Run.
-func RunVia(acc Accelerator, m dnn.Model, mode Mode, run LayerRunner) (ModelResult, error) {
-	if run == nil {
-		run = RunLayer
-	}
-	if err := m.Validate(); err != nil {
-		return ModelResult{}, err
-	}
-	res := ModelResult{Model: m.Name, Accel: acc.Name(), Mode: mode}
-	res.Layers = make([]LayerResult, 0, len(m.Layers))
-	for _, l := range m.Layers {
-		lr, err := run(acc, l, mode)
-		if err != nil {
-			return ModelResult{}, err
-		}
-		res.Layers = append(res.Layers, lr)
-		rep := float64(l.Repeat)
-		res.ExecSec += lr.ExecSec * rep
-		res.ComputeSec += lr.ComputeSec * rep
-		res.CommSec += lr.CommSec * rep
-		res.ComputeEnergy += lr.ComputeEnergy * rep
-		res.NetworkEnergy += lr.NetworkEnergy * rep
-		res.TotalEnergy += lr.TotalEnergy * rep
-		res.NetDynamic = res.NetDynamic.Add(network.EnergyParts{
-			EO:         lr.NetDynamic.EO * rep,
-			OE:         lr.NetDynamic.OE * rep,
-			Electrical: lr.NetDynamic.Electrical * rep,
-		})
-		res.NetStaticJ = network.StaticParts{
-			Laser:   res.NetStaticJ.Laser + lr.NetStaticJ.Laser*rep,
-			Heating: res.NetStaticJ.Heating + lr.NetStaticJ.Heating*rep,
-		}
-	}
-	return res, nil
-}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"spacx/internal/dnn"
 	"spacx/internal/floorplan"
 	"spacx/internal/network/spacxnet"
 	"spacx/internal/photonic"
@@ -228,9 +227,6 @@ func (s *ThermalStepper) Network() *thermal.Network { return s.net }
 // Coupler exposes the feedback coupler.
 func (s *ThermalStepper) Coupler() *thermal.Coupler { return s.coupler }
 
-// Base returns the full-load operating point the stepper scales.
-func (s *ThermalStepper) Base() thermal.OperatingPoint { return s.base }
-
 // TimeSec returns the simulated time advanced so far.
 func (s *ThermalStepper) TimeSec() float64 { return s.timeSec }
 
@@ -350,64 +346,4 @@ func (s *ThermalStepper) RunSteady(offeredUtil float64) (ThermalSample, error) {
 		}
 	}
 	return ThermalSample{}, fmt.Errorf("sim: thermal fixed point did not converge in %d iterations at u=%g", iters, offeredUtil)
-}
-
-// ThermalAwareRunner wraps a layer runner so exposed communication derates
-// by the instantaneous feedback throttle: the photonic links carry only a
-// throttle fraction of their calibrated rate, so the input/output transfer
-// pools stretch by 1/throttle while compute, DRAM, and the serial overheads
-// run at full speed; the critical path and the static-energy integral are
-// rebuilt from the stretched pools. A nil throttle source — or one
-// reporting exactly 1 (feedback off, or margin intact) — returns the base
-// runner's results untouched, bit for bit: the provably-static path.
-func ThermalAwareRunner(base LayerRunner, throttle func() float64) LayerRunner {
-	if base == nil {
-		base = RunLayer
-	}
-	if throttle == nil {
-		return base
-	}
-	return func(acc Accelerator, l dnn.Layer, mode Mode) (LayerResult, error) {
-		r, err := base(acc, l, mode)
-		if err != nil {
-			return r, err
-		}
-		th := throttle()
-		if th == 1 {
-			return r, nil
-		}
-		if th <= 0 || th > 1 {
-			return r, fmt.Errorf("sim: throttle %g outside (0,1]", th)
-		}
-		// The base runner built ExecSec as max(pools) + serial overhead;
-		// recover the overhead, stretch only the photonic pools, and rebuild
-		// the critical path.
-		poolMax := func() float64 {
-			m := r.ComputeSec
-			for _, t := range []float64{r.InputSec, r.OutputSec, r.DRAMSec} {
-				if t > m {
-					m = t
-				}
-			}
-			return m
-		}
-		overhead := r.ExecSec - poolMax()
-		oldExec := r.ExecSec
-		r.InputSec /= th
-		r.OutputSec /= th
-		flows := make([]float64, len(r.FlowSecs))
-		for i, t := range r.FlowSecs {
-			flows[i] = t / th
-		}
-		r.FlowSecs = flows
-		r.ExecSec = poolMax() + overhead
-		r.CommSec = r.ExecSec - r.ComputeSec
-		// Static power integrates over the stretched execution time.
-		scale := r.ExecSec / oldExec
-		r.NetStaticJ.Laser *= scale
-		r.NetStaticJ.Heating *= scale
-		r.NetworkEnergy = r.NetDynamic.Total() + r.NetStaticJ.Total()
-		r.TotalEnergy = r.ComputeEnergy + r.NetworkEnergy
-		return r, nil
-	}
 }

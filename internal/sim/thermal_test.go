@@ -2,7 +2,6 @@ package sim
 
 import (
 	"errors"
-	"math"
 	"testing"
 
 	"spacx/internal/dnn"
@@ -195,105 +194,6 @@ func TestRunSteadyStrictErrors(t *testing.T) {
 	// RunSteady must not disturb the transient state.
 	if got, want := st.Network().MaxChipletK(), st.Coupler().CalibrationK(); got != want {
 		t.Errorf("RunSteady mutated stepper temps: %g K vs %g K", got, want)
-	}
-}
-
-// ThermalAwareRunner with no throttle source — or a unit throttle — must be
-// an exact passthrough; every field of every layer result bit-identical.
-func TestThermalAwareRunnerPassthrough(t *testing.T) {
-	acc := SPACXAccel()
-	m := dnn.AlexNet()
-	base, err := Run(acc, m, LayerByLayer)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	viaNil, err := RunVia(acc, m, LayerByLayer, ThermalAwareRunner(nil, nil))
-	if err != nil {
-		t.Fatalf("RunVia(nil throttle): %v", err)
-	}
-	viaUnit, err := RunVia(acc, m, LayerByLayer, ThermalAwareRunner(nil, func() float64 { return 1 }))
-	if err != nil {
-		t.Fatalf("RunVia(unit throttle): %v", err)
-	}
-	for _, got := range []ModelResult{viaNil, viaUnit} {
-		if got.ExecSec != base.ExecSec || got.TotalEnergy != base.TotalEnergy ||
-			got.CommSec != base.CommSec || got.NetworkEnergy != base.NetworkEnergy {
-			t.Fatalf("passthrough drifted: got %+v want %+v", got, base)
-		}
-		for i := range base.Layers {
-			b, g := base.Layers[i], got.Layers[i]
-			if b.ExecSec != g.ExecSec || b.CommSec != g.CommSec ||
-				b.TotalEnergy != g.TotalEnergy || b.NetworkEnergy != g.NetworkEnergy ||
-				b.NetStaticJ != g.NetStaticJ {
-				t.Fatalf("layer %d drifted: %+v vs %+v", i, b, g)
-			}
-		}
-	}
-}
-
-func TestThermalAwareRunnerDerates(t *testing.T) {
-	acc := SPACXAccel()
-	m := dnn.AlexNet()
-	base, err := Run(acc, m, LayerByLayer)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	const th = 0.5
-	derated, err := RunVia(acc, m, LayerByLayer, ThermalAwareRunner(nil, func() float64 { return th }))
-	if err != nil {
-		t.Fatalf("RunVia: %v", err)
-	}
-	// Only the photonic pools stretch by 1/th; compute, DRAM, and the serial
-	// overhead stay put, and the critical path is rebuilt from the pools.
-	poolMax := func(l LayerResult) float64 {
-		max := l.ComputeSec
-		for _, t := range []float64{l.InputSec, l.OutputSec, l.DRAMSec} {
-			if t > max {
-				max = t
-			}
-		}
-		return max
-	}
-	for i := range base.Layers {
-		b, g := base.Layers[i], derated.Layers[i]
-		if g.ComputeSec != b.ComputeSec || g.DRAMSec != b.DRAMSec {
-			t.Fatalf("layer %d: derate moved compute/DRAM: %+v vs %+v", i, g, b)
-		}
-		if g.InputSec != b.InputSec/th || g.OutputSec != b.OutputSec/th {
-			t.Fatalf("layer %d: photonic pools not stretched by 1/th: %+v vs %+v", i, g, b)
-		}
-		overhead := b.ExecSec - poolMax(b)
-		stretched := b
-		stretched.InputSec, stretched.OutputSec = b.InputSec/th, b.OutputSec/th
-		wantExec := poolMax(stretched) + overhead
-		if math.Abs(g.ExecSec-wantExec) > 1e-15*wantExec {
-			t.Errorf("layer %d: ExecSec = %g, want %g", i, g.ExecSec, wantExec)
-		}
-		scale := wantExec / b.ExecSec
-		if want := b.NetStaticJ.Laser * scale; math.Abs(g.NetStaticJ.Laser-want) > 1e-12*want {
-			t.Errorf("layer %d: static laser energy = %g, want %g", i, g.NetStaticJ.Laser, want)
-		}
-	}
-	if derated.ExecSec <= base.ExecSec {
-		t.Errorf("derate did not stretch execution: %g vs %g", derated.ExecSec, base.ExecSec)
-	}
-	// The serial overheads are not link-rate bound, so the stretch must stay
-	// strictly below the old whole-pipeline 1/th derate.
-	if derated.ExecSec >= base.ExecSec/th {
-		t.Errorf("derate stretched more than the links: %g vs cap %g", derated.ExecSec, base.ExecSec/th)
-	}
-	if derated.ComputeEnergy != base.ComputeEnergy {
-		t.Errorf("compute energy changed under derate: %g vs %g", derated.ComputeEnergy, base.ComputeEnergy)
-	}
-	if derated.TotalEnergy <= base.TotalEnergy {
-		t.Error("longer execution must cost more static energy")
-	}
-	// Invalid throttle values are errors.
-	if _, err := RunVia(acc, m, LayerByLayer, ThermalAwareRunner(nil, func() float64 { return 0 })); err == nil {
-		t.Error("accepted throttle 0")
-	}
-	if _, err := RunVia(acc, m, LayerByLayer, ThermalAwareRunner(nil, func() float64 { return 1.5 })); err == nil {
-		t.Error("accepted throttle > 1")
 	}
 }
 
