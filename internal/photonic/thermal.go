@@ -98,9 +98,7 @@ func (s TuningSpec) MeanHeaterPower() (Milliwatt, error) {
 	if s.TemperatureSpreadK < 0 || s.ProcessSigmaNm < 0 {
 		return 0, fmt.Errorf("photonic: negative variation spec %+v", s)
 	}
-	meanOffsetNm := s.TemperatureSpreadK*ResonanceDriftNmPerK/2 +
-		s.ProcessSigmaNm*math.Sqrt(2/math.Pi)
-	return s.checkCap(Milliwatt(meanOffsetNm / s.TuningNmPerMw))
+	return s.checkCap(Milliwatt(s.MeanOffsetNm() / s.TuningNmPerMw))
 }
 
 // WorstCaseHeaterPower budgets three sigma of process variation on top of
@@ -111,6 +109,15 @@ func (s TuningSpec) WorstCaseHeaterPower() (Milliwatt, error) {
 	}
 	worstNm := s.TemperatureSpreadK*ResonanceDriftNmPerK + 3*s.ProcessSigmaNm
 	return s.checkCap(Milliwatt(worstNm / s.TuningNmPerMw))
+}
+
+// MeanOffsetNm returns the mean resonance offset a ring must trim: half the
+// thermal excursion plus the folded-normal mean of the process variation
+// (sigma * sqrt(2/pi)). The feedback coupler compares it against the heater
+// cap directly, without building MeanHeaterPower's saturation error.
+func (s TuningSpec) MeanOffsetNm() float64 {
+	return s.TemperatureSpreadK*ResonanceDriftNmPerK/2 +
+		s.ProcessSigmaNm*math.Sqrt(2/math.Pi)
 }
 
 // WorstCaseOffsetNm returns the worst-case resonance offset the spec asks a

@@ -188,28 +188,25 @@ func (c *Coupler) Evaluate(tempK float64) Feedback {
 		return f
 	}
 
-	// The rings must now absorb the static spread plus the excursion.
+	// The rings must now absorb the static spread plus the excursion. The
+	// heater powers are the MeanHeaterPower/WorstCaseHeaterPower figures,
+	// compared against the cap here: NewCoupler validated the spec and
+	// drift only raises the spread, so the cap is the only way they fail.
 	spec := c.cfg.Spec.
 		WithTemperature(c.cfg.Spec.TemperatureSpreadK + f.ExcursionK).
 		WithHeaterCap(c.cfg.MaxHeaterMw)
 
-	mean, err := spec.MeanHeaterPower()
-	meanMw := float64(mean)
-	if err != nil {
-		if !errors.Is(err, photonic.ErrHeaterSaturated) {
-			// Invalid specs are rejected at NewCoupler; drift only ever
-			// raises the spread, so the error here is the cap.
-			panic(err)
-		}
+	meanMw := spec.MeanOffsetNm() / spec.TuningNmPerMw
+	if meanMw > c.cfg.MaxHeaterMw {
 		meanMw = c.cfg.MaxHeaterMw
 	}
 	f.TuningMwPerRing = meanMw
 	f.ExtraHeatingW = math.Max(0, meanMw-c.baseMw) * float64(c.cfg.Rings) / 1000
 	f.HeatingW = c.cfg.StaticHeatingW + f.ExtraHeatingW
 
-	if _, err := spec.WorstCaseHeaterPower(); errors.Is(err, photonic.ErrHeaterSaturated) {
+	if worstNm := spec.WorstCaseOffsetNm(); worstNm/spec.TuningNmPerMw > c.cfg.MaxHeaterMw {
 		f.Saturated = true
-		f.UncompensatedNm = spec.WorstCaseOffsetNm() - spec.CompensableNm()
+		f.UncompensatedNm = worstNm - spec.CompensableNm()
 	}
 
 	f.MarginDB = c.cfg.MarginDB -

@@ -2,6 +2,7 @@ package thermal
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -137,6 +138,61 @@ func TestEvaluateHeaterSaturation(t *testing.T) {
 	err := f.Err()
 	if !errors.Is(err, photonic.ErrHeaterSaturated) {
 		t.Fatalf("Err() = %v, want ErrHeaterSaturated", err)
+	}
+}
+
+// Evaluate compares the heater offsets against the cap itself; its tuning
+// power and saturation flag must equal what the photonic power methods
+// report for the drifted spec, over both tuning specs, several DAC caps
+// (multiples of the static worst case, the smallest exactly at it) and
+// excursions of 0-40 K.
+func TestEvaluateMatchesHeaterPower(t *testing.T) {
+	type row struct {
+		name  string
+		spec  photonic.TuningSpec
+		capMw float64
+		excK  float64
+	}
+	var rows []row
+	for _, sp := range []struct {
+		name string
+		spec photonic.TuningSpec
+	}{{"moderate", photonic.ModerateTuning()}, {"aggressive", photonic.AggressiveTuning()}} {
+		worstMw := sp.spec.WorstCaseOffsetNm() / sp.spec.TuningNmPerMw
+		for _, k := range []float64{1, 1.15, 2, 4} {
+			for excK := 0.0; excK <= 40; excK += 0.25 {
+				rows = append(rows, row{fmt.Sprintf("%s/cap%gx/+%gK", sp.name, k, excK), sp.spec, worstMw * k, excK})
+			}
+		}
+	}
+	for _, r := range rows {
+		cfg := DefaultCouplerConfig(r.spec)
+		cfg.MaxHeaterMw = r.capMw
+		cfg.Rings = 1000
+		c, err := NewCoupler(cfg)
+		if err != nil {
+			t.Fatalf("%s: NewCoupler: %v", r.name, err)
+		}
+		c.Calibrate(320)
+		f := c.Evaluate(320 + r.excK)
+
+		drifted := r.spec.WithTemperature(r.spec.TemperatureSpreadK + r.excK).WithHeaterCap(r.capMw)
+		mean, err := drifted.MeanHeaterPower()
+		wantMw := float64(mean)
+		if errors.Is(err, photonic.ErrHeaterSaturated) {
+			wantMw = r.capMw
+		} else if err != nil {
+			t.Fatalf("%s: MeanHeaterPower: %v", r.name, err)
+		}
+		_, err = drifted.WorstCaseHeaterPower()
+		if err != nil && !errors.Is(err, photonic.ErrHeaterSaturated) {
+			t.Fatalf("%s: WorstCaseHeaterPower: %v", r.name, err)
+		}
+		wantSat := errors.Is(err, photonic.ErrHeaterSaturated)
+		if f.TuningMwPerRing != wantMw || f.Saturated != wantSat {
+			t.Errorf("%s: Evaluate gives %v mW saturated=%v, power methods %v mW saturated=%v",
+				r.name, f.TuningMwPerRing, f.Saturated, wantMw, wantSat)
+		}
 	}
 }
 
