@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"testing"
 
@@ -115,5 +117,93 @@ func TestThermalEndpointStepCap(t *testing.T) {
 	}
 	if rr = doReq(mux, http.MethodPost, "/v1/thermal", `{"model": "alexnet", "steps": 10}`); rr.Code != http.StatusOK {
 		t.Fatalf("at-cap status = %d, body %s", rr.Code, rr.Body)
+	}
+}
+
+// TestThermalBodyMatchesIndentedEncoding checks the streamed /v1/thermal
+// body against json.Encoder with a two-space indent, byte for byte. Rows
+// with a request body go through the endpoint, their Want a direct replay of
+// the same config; rows without one hand Want to writeThermalReport itself.
+func TestThermalBodyMatchesIndentedEncoding(t *testing.T) {
+	me, _ := modelByName("alexnet")
+	replay := func(mode, profile string, steps int, feedback bool) *exp.ThermalReport {
+		rep, err := exp.ThermalReplay(exp.ThermalReplayConfig{
+			Model: me.model(), Mode: modeOf(mode), Profile: profile,
+			Seed: 7, Steps: steps, StepSec: 10, Feedback: feedback,
+		})
+		if err != nil {
+			t.Fatalf("replay %s/%s/%d/%v: %v", mode, profile, steps, feedback, err)
+		}
+		return rep
+	}
+	request := func(mode, profile string, steps int, feedback bool) string {
+		return fmt.Sprintf(`{"model": "alexnet", "mode": %q, "profile": %q, "seed": 7, "steps": %d, "step_sec": 10, "feedback": %v}`,
+			mode, profile, steps, feedback)
+	}
+
+	var rows []tableTest[string, *exp.ThermalReport]
+	for _, profile := range exp.Profiles() {
+		for _, feedback := range []bool{true, false} {
+			for _, mode := range []string{"whole", "layer"} {
+				rows = append(rows, tableTest[string, *exp.ThermalReport]{
+					Name: fmt.Sprintf("%s/feedback=%v/%s", profile, feedback, mode),
+					Got:  request(mode, profile, 120, feedback),
+					Want: replay(mode, profile, 120, feedback),
+				})
+			}
+		}
+	}
+	rows = append(rows, tableTest[string, *exp.ThermalReport]{
+		Name: "one step", Got: request("whole", exp.ProfileStep, 1, true), Want: replay("whole", exp.ProfileStep, 1, true),
+	})
+	short := replay("whole", exp.ProfileStep, 3, true)
+	empty, null, escaped := *short, *short, *short
+	empty.Series = []exp.ThermalPoint{}
+	null.Series = nil
+	escaped.Model = `<alex&net>`
+	rows = append(rows,
+		tableTest[string, *exp.ThermalReport]{Name: "writer/empty series", Want: &empty},
+		tableTest[string, *exp.ThermalReport]{Name: "writer/nil series", Want: &null},
+		tableTest[string, *exp.ThermalReport]{Name: "writer/HTML-escaped model", Want: &escaped},
+	)
+
+	_, _, mux := newService(t, Options{Workers: 2})
+	for _, tc := range rows {
+		t.Run(tc.Name, func(t *testing.T) {
+			if tc.Skip {
+				t.Skip()
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(tc.Want); err != nil {
+				t.Fatalf("reference encode: %v", err)
+			}
+			var got []byte
+			if tc.Got != "" {
+				rr := doReq(mux, http.MethodPost, "/v1/thermal", tc.Got)
+				if rr.Code != http.StatusOK {
+					t.Fatalf("status %d, body %s", rr.Code, rr.Body)
+				}
+				if ct := rr.Header().Get("Content-Type"); ct != "application/json" {
+					t.Fatalf("Content-Type %q", ct)
+				}
+				got = rr.Body.Bytes()
+			} else {
+				var buf bytes.Buffer
+				if err := writeThermalReport(&buf, tc.Want); err != nil {
+					t.Fatalf("writeThermalReport: %v", err)
+				}
+				got = buf.Bytes()
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				i := 0
+				for i < len(got) && i < len(want.Bytes()) && got[i] == want.Bytes()[i] {
+					i++
+				}
+				t.Fatalf("body (%d bytes) differs from the indented encoding (%d bytes) at byte %d:\n%.200s\nvs\n%.200s",
+					len(got), want.Len(), i, got[i:], want.Bytes()[i:])
+			}
+		})
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"spacx/internal/dnn"
@@ -100,4 +101,33 @@ func BenchmarkSweepScalar(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(len(pts)), "points")
+}
+
+// BenchmarkThermalStep is one sim.ThermalStepper.Step of the EXPERIMENTS.md
+// diurnal recipe (AlexNet whole-inference on SPACX, feedback on, 10-s steps)
+// per op: the load follows that recipe's day of 720 steps without its seeded
+// jitter, and the stepper runs on through the days. The coupler, the power
+// map and one exact RC update.
+func BenchmarkThermalStep(b *testing.B) {
+	acc := SPACXAccel()
+	res, err := Run(acc, dnn.AlexNet(), WholeInference)
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := NewThermalStepper(acc, res, DefaultThermalConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	const day = 720
+	load := make([]float64, day)
+	for i := range load {
+		load[i] = 0.55 + 0.40*math.Sin(2*math.Pi*float64(i)/day-math.Pi/2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.Step(load[i%day], 10); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

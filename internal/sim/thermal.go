@@ -252,8 +252,9 @@ func (s *ThermalStepper) sample(offered, achieved, packageW float64, fb thermal.
 
 // Step advances the coupled simulation by dt seconds at the given offered
 // utilization. The feedback is evaluated at the temperatures entering the
-// step (explicit coupling, matching the explicit RC integrator); the
-// returned sample carries the temperatures after the step.
+// step and held for the whole step (explicit coupling: the RC network
+// integrates constant sources exactly); the returned sample carries the
+// temperatures after the step.
 func (s *ThermalStepper) Step(offeredUtil, dt float64) (ThermalSample, error) {
 	if offeredUtil < 0 {
 		return ThermalSample{}, fmt.Errorf("sim: negative offered utilization %g", offeredUtil)

@@ -116,9 +116,9 @@ func TestSteadyStateMatchesClosedForm(t *testing.T) {
 	}
 }
 
-// Property: long transient integration converges onto the linear
-// steady-state solve — with lateral links on, so both code paths exercise
-// the full topology.
+// Property: one very long Advance lands on the steady-state solve, from a
+// warm start off equilibrium and with lateral links on, so the transient
+// decays through every mode of the full topology.
 func TestAdvanceConvergesToSteadyState(t *testing.T) {
 	n := testNetwork(t, 16)
 	src := make([]float64, n.Nodes())
@@ -132,14 +132,19 @@ func TestAdvanceConvergesToSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("SteadyState: %v", err)
 	}
-	// ~20 interposer time constants.
-	tau := DefaultConfig().InterposerCapJPerK * DefaultConfig().InterposerToAmbientKPerW
-	if err := n.Advance(src, 20*tau); err != nil {
+	warm := n.Temps()
+	for i := range warm {
+		warm[i] += 40 - 3*float64(i%5)
+	}
+	if err := n.SetTemps(warm); err != nil {
+		t.Fatalf("SetTemps: %v", err)
+	}
+	if err := n.Advance(src, 1e6); err != nil {
 		t.Fatalf("Advance: %v", err)
 	}
 	for i, got := range n.Temps() {
-		if math.Abs(got-want[i]) > 1e-6 {
-			t.Errorf("node %d: transient %.9g K vs steady %.9g K", i, got, want[i])
+		if math.Abs(got-want[i]) > 1e-9 {
+			t.Errorf("node %d: transient %.12g K vs steady %.12g K", i, got, want[i])
 		}
 	}
 }
@@ -174,36 +179,94 @@ func TestEnergyConservation(t *testing.T) {
 	}
 }
 
-// Property: step-size robustness. Halving Advance's outer step must not move
-// the trajectory by more than a hair, because the substep is bounded by the
-// network constants, not the outer step.
-func TestStepHalvingStability(t *testing.T) {
-	src := func(n *Network) []float64 {
-		s := make([]float64, n.Nodes())
-		for i := 0; i < n.Chiplets(); i++ {
-			s[i] = 0.5
-		}
-		s[n.GBNode()] = 2.5
-		s[n.InterposerNode()] = 0.7
-		return s
+// stepLoad is a heterogeneous load step: uneven chiplets, a hot GB die and
+// the on-die laser share on the interposer.
+func stepLoad(n *Network) []float64 {
+	s := make([]float64, n.Nodes())
+	for i := 0; i < n.Chiplets(); i++ {
+		s[i] = 0.4 + 0.05*float64(i%3)
 	}
+	s[n.GBNode()] = 2.5
+	s[n.InterposerNode()] = 0.7
+	return s
+}
 
-	coarse := testNetwork(t, 16)
-	for step := 0; step < 60; step++ {
-		if err := coarse.Advance(src(coarse), 2.0); err != nil {
-			t.Fatalf("coarse Advance: %v", err)
+// maxDiffK is the largest node temperature difference between two networks.
+func maxDiffK(a, b *Network) float64 {
+	var d float64
+	for i := 0; i < a.Nodes(); i++ {
+		d = math.Max(d, math.Abs(a.Temp(i)-b.Temp(i)))
+	}
+	return d
+}
+
+// Property: convergence onto the exact update. Forward Euler with 1×, 10×
+// and 100× the fewest substeps that stay within MaxStableStep/2 must
+// approach Advance monotonically, and Advance must sit closer to 10× Euler
+// than 1× Euler does. 32 chiplets, Δ = 1 s, 100 steps from ambient under a
+// load step.
+func TestEulerConvergesToAdvance(t *testing.T) {
+	const (
+		chiplets = 32
+		dt       = 1.0
+		steps    = 100
+	)
+	euler := func(k int) *Network {
+		n := testNetwork(t, chiplets)
+		src := stepLoad(n)
+		sub := k * int(math.Ceil(dt/(n.MaxStableStep()/2)))
+		for s := 0; s < steps*sub; s++ {
+			if err := n.Euler(src, dt/float64(sub)); err != nil {
+				t.Fatalf("Euler: %v", err)
+			}
+		}
+		return n
+	}
+	exact := testNetwork(t, chiplets)
+	src := stepLoad(exact)
+	for s := 0; s < steps; s++ {
+		if err := exact.Advance(src, dt); err != nil {
+			t.Fatalf("Advance: %v", err)
 		}
 	}
-	fine := testNetwork(t, 16)
-	for step := 0; step < 120; step++ {
-		if err := fine.Advance(src(fine), 1.0); err != nil {
-			t.Fatalf("fine Advance: %v", err)
-		}
+	e1, e10, e100 := euler(1), euler(10), euler(100)
+	d1, d10, d100 := maxDiffK(e1, exact), maxDiffK(e10, exact), maxDiffK(e100, exact)
+	if !(d1 > d10 && d10 > d100) {
+		t.Errorf("Euler error against Advance not shrinking: 1x %.3g K, 10x %.3g K, 100x %.3g K", d1, d10, d100)
 	}
-	for i := range coarse.Temps() {
-		c, f := coarse.Temp(i), fine.Temp(i)
-		if math.Abs(c-f) > 1e-4 {
-			t.Errorf("node %d: coarse %.9g K vs fine %.9g K (diff %.3g)", i, c, f, c-f)
+	if got, ref := maxDiffK(exact, e10), maxDiffK(e1, e10); !(got < ref) {
+		t.Errorf("Advance is %.3g K from 10x Euler, 1x Euler only %.3g K", got, ref)
+	}
+	t.Logf("against 100x Euler: 1x Euler %.3g K, Advance %.3g K", maxDiffK(e1, e100), maxDiffK(exact, e100))
+}
+
+// Property: semigroup. One Advance(Δ) lands where two Advance(Δ/2) do, in
+// temperature and in the heat delivered to ambient, under a varying load,
+// for Δ near the chiplet time constant (~0.15 s), below the interposer's
+// (~30 s) and far above both.
+func TestAdvanceSemigroup(t *testing.T) {
+	for _, dt := range []float64{0.1, 10, 1000} {
+		one, two := testNetwork(t, 32), testNetwork(t, 32)
+		for step := 0; step < 20; step++ {
+			src := stepLoad(one)
+			u := 0.2 + 0.8*float64(step%7)/6
+			for i := range src {
+				src[i] *= u
+			}
+			if err := one.Advance(src, dt); err != nil {
+				t.Fatalf("Advance(%g): %v", dt, err)
+			}
+			for h := 0; h < 2; h++ {
+				if err := two.Advance(src, dt/2); err != nil {
+					t.Fatalf("Advance(%g): %v", dt/2, err)
+				}
+			}
+			if d := maxDiffK(one, two); d > 1e-9 {
+				t.Fatalf("dt %g step %d: one step and two half steps differ by %.3g K", dt, step, d)
+			}
+		}
+		if rel := math.Abs(one.AmbientJ()-two.AmbientJ()) / one.AmbientJ(); rel > 1e-9 {
+			t.Errorf("dt %g: ambient heat %.12g J in one step, %.12g J in halves", dt, one.AmbientJ(), two.AmbientJ())
 		}
 	}
 }
@@ -232,24 +295,41 @@ func TestAdvanceDeterministic(t *testing.T) {
 	}
 }
 
-func TestEulerRejectsBadInput(t *testing.T) {
+func TestAdvanceRejectsBadInput(t *testing.T) {
 	n := testNetwork(t, 16)
-	if err := n.Euler(nil, 0); err == nil {
-		t.Error("Euler accepted dt=0")
+	onAmbient := make([]float64, n.Nodes())
+	onAmbient[n.AmbientNode()] = 1
+	rows := []struct {
+		name string
+		src  []float64
+		dt   float64
+	}{
+		{"zero dt", nil, 0},
+		{"negative dt", nil, -1},
+		{"NaN dt", nil, math.NaN()},
+		{"+Inf dt", nil, math.Inf(1)},
+		{"-Inf dt", nil, math.Inf(-1)},
+		{"oversized sources", make([]float64, n.Nodes()+1), 0.01},
+		{"source on ambient", onAmbient, 0.01},
 	}
-	if err := n.Advance(nil, -1); err == nil {
-		t.Error("Advance accepted dt<0")
+	before := n.Temps()
+	for _, r := range rows {
+		if err := n.Advance(r.src, r.dt); err == nil {
+			t.Errorf("%s: Advance accepted it", r.name)
+		}
+		if r.src != nil {
+			if _, err := n.SteadyState(r.src); err == nil {
+				t.Errorf("%s: SteadyState accepted it", r.name)
+			}
+		}
 	}
-	if err := n.Euler(make([]float64, n.Nodes()+1), 0.01); err == nil {
-		t.Error("Euler accepted oversized source vector")
+	for i, got := range n.Temps() {
+		if got != before[i] {
+			t.Fatalf("rejected steps moved node %d: %g K, was %g K", i, got, before[i])
+		}
 	}
-	src := make([]float64, n.Nodes())
-	src[n.AmbientNode()] = 1
-	if err := n.Euler(src, 0.01); err == nil {
-		t.Error("Euler accepted a heat source on the ambient node")
-	}
-	if _, err := n.SteadyState(src); err == nil {
-		t.Error("SteadyState accepted a heat source on the ambient node")
+	if n.InputJ() != 0 || n.AmbientJ() != 0 {
+		t.Fatalf("rejected steps were accounted: inputJ %g, ambientJ %g", n.InputJ(), n.AmbientJ())
 	}
 }
 

@@ -141,6 +141,20 @@ type Network struct {
 	ambientJ float64   // cumulative heat delivered to the ambient boundary
 	inputJ   float64   // cumulative source heat injected
 	flux     []float64 // Euler scratch, lazily allocated once
+
+	// The exact integrator (rc.go), factored once by NewNetwork over the
+	// free nodes 0..ambient-1. Matrices are row-major, free×free.
+	sqrtC  []float64 // C^½ per free node
+	toAmb  []float64 // conductance from each free node straight to ambient
+	lambda []float64 // eigenvalues of S = C^−½·G·C^−½
+	q      []float64 // eigenvectors of S, row k for lambda[k]
+	gInv   []float64 // G⁻¹
+	// Φ and the boundary-heat row for steps of phiDt seconds (see setStep).
+	phiDt  float64
+	phi    []float64
+	ambRow []float64
+	tInf   []float64 // Advance scratch: θ∞
+	dev    []float64 // Advance scratch: θ − θ∞
 }
 
 // NewNetwork builds the RC network for a floorplan under the given config.
@@ -204,6 +218,9 @@ func NewNetwork(plan *floorplan.Plan, cfg Config) (*Network, error) {
 	for _, l := range n.links {
 		n.gSum[l.a] += l.g
 		n.gSum[l.b] += l.g
+	}
+	if err := n.factor(); err != nil {
+		return nil, err
 	}
 	return n, nil
 }
