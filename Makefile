@@ -81,7 +81,7 @@ bench:
 # sim covers the analytical layer path plus the two headline drivers.
 BENCH_EVENTSIM_CMD = go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/eventsim/
 BENCH_SIM_CMD = { go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/sim/; \
-	go test -run=NONE -bench='Fig16LatencyThroughput|SingleLayerSPACX' -benchmem -benchtime=200ms .; }
+	go test -run=NONE -bench='Fig16Cold|Fig16LatencyThroughput|SingleLayerSPACX' -benchmem -benchtime=200ms .; }
 
 # Regenerate the committed baselines after a deliberate performance change.
 bench-json:

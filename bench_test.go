@@ -116,6 +116,30 @@ func BenchmarkFig15Overall(b *testing.B) {
 	}
 }
 
+// BenchmarkFig16Cold times Fig16 at spacx-report's default 20 000 packets
+// from empty exp caches, so every op runs all twelve event simulations. Each
+// op resets the caches and re-runs Fig15 untimed, which warms the layer memo
+// Fig16's load derivation reads, as in a full report. One worker keeps the
+// allocation count deterministic.
+func BenchmarkFig16Cold(b *testing.B) {
+	exp.SetParallelism(1)
+	defer exp.SetParallelism(0)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		exp.ResetCaches()
+		if _, err := exp.Fig15(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		if _, err := exp.Fig16(20000); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFig16LatencyThroughput is the warm variant: after the first op,
+// Fig16 answers from the packet-run memo.
 func BenchmarkFig16LatencyThroughput(b *testing.B) {
 	var rows []exp.Fig16Row
 	var err error

@@ -7,16 +7,21 @@
 // definition — "the time elapsed between generating and receiving of a data
 // packet" — and throughput is packets received per unit time.
 //
-// The hot loop is allocation-free in the steady state: packets live by value
-// in a slab arena on the Sim, the event queue is a typed min-heap of
-// by-value events carrying packet indices (see heap.go for why it mirrors
+// The hot loop is allocation-free: Run validates its sources and counts
+// their packets first, then sizes the packet arena and the event queue to
+// that count once, so neither grows while packets are injected. Packets live
+// by value in the arena, the event queue is a binary min-heap packed as
+// parallel time and packet-index arrays (see heap.go for why it mirrors
 // container/heap's ordering exactly), and station scratch buffers are reused
-// across runs. Reusing one Sim for repeated Run calls therefore settles into
-// zero allocations per run (asserted by TestRunSteadyStateAllocs).
+// across runs. The first Run on a Sim allocates the same few objects at any
+// packet count (TestFirstRunAllocsIndependentOfPackets), and reusing the Sim
+// for repeated Run calls settles into zero allocations per run
+// (TestRunSteadyStateAllocs).
 package eventsim
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"spacx/internal/obs"
@@ -133,17 +138,16 @@ func (s *Station) admit(t float64, bytes int) (depart, wait float64, ok bool) {
 	return done + s.DelaySec, start - t, true
 }
 
-// Packet is one unit of traffic. Fanout is the number of endpoint
+// packet is one unit of traffic. fanout is the number of endpoint
 // receptions one delivery produces (a photonic broadcast packet is
 // serialized once but received by every destination on the wavelength).
 // Packets are stored by value in the Sim's arena; events refer to them by
 // index, so a run performs no per-packet allocation.
-type Packet struct {
-	ID         int
-	Bytes      int
-	InjectTime float64
-	Path       []*Station
-	Fanout     int
+type packet struct {
+	bytes      int
+	injectTime float64
+	path       []*Station
+	fanout     int
 	hop        int
 }
 
@@ -232,8 +236,8 @@ func (r *rng) expovariate(mean float64) float64 {
 // queue are reused across Run calls, so a warmed Sim runs allocation-free.
 type Sim struct {
 	stations map[string]*Station
-	events   []event
-	packets  []Packet
+	events   eventHeap
+	packets  []packet
 	stats    Stats
 	rng      rng
 	rec      obs.Recorder
@@ -246,7 +250,7 @@ func New(seed uint64) *Sim {
 
 // Reseed restores the injection stream to the deterministic state New(seed)
 // would produce, leaving stations and the warmed arenas in place. Callers
-// that pool simulators across runs (the Figure 16 driver) use it to make a
+// that reuse a simulator across runs (the Figure 16 driver) use it to make a
 // reused Sim bit-identical to a freshly built one: Run resets all other
 // state, and the rng is the only carrier of history across runs.
 func (s *Sim) Reseed(seed uint64) {
@@ -304,11 +308,28 @@ type Source struct {
 }
 
 // Run injects all sources (Poisson arrivals per class) and processes events
-// until the network drains. It returns the aggregate statistics.
+// until the network drains. It returns the aggregate statistics. Events name
+// packets by int32 index, so the sources may inject at most math.MaxInt32
+// packets in total.
 func (s *Sim) Run(sources []Source) (Stats, error) {
-	s.stats = Stats{}
-	s.events = s.events[:0]
+	total := 0
+	for _, src := range sources {
+		if src.PacketBytes <= 0 || src.RateBytesSec <= 0 || src.Count < 0 || src.Path == nil {
+			return Stats{}, fmt.Errorf("eventsim: bad source %q", src.Name)
+		}
+		if src.Count > math.MaxInt32-total {
+			return Stats{}, fmt.Errorf("eventsim: sources inject more than %d packets", math.MaxInt32)
+		}
+		total += src.Count
+	}
+	// A packet never has more than one pending event, so the packet count
+	// bounds the event queue as well as the arena.
+	if cap(s.packets) < total {
+		s.packets = make([]packet, 0, total)
+	}
 	s.packets = s.packets[:0]
+	s.events.reset(total)
+	s.stats = Stats{}
 	enabled := s.rec.Enabled()
 	for _, st := range s.stations {
 		st.reset()
@@ -317,10 +338,8 @@ func (s *Sim) Run(sources []Source) (Stats, error) {
 		st.trackQueue = st.trackQueue || enabled
 	}
 	for _, src := range sources {
-		if src.PacketBytes <= 0 || src.RateBytesSec <= 0 || src.Count < 0 || src.Path == nil {
-			return Stats{}, fmt.Errorf("eventsim: bad source %q", src.Name)
-		}
 		meanGap := float64(src.PacketBytes) / src.RateBytesSec
+		fan := max(src.Fanout, 1)
 		t := 0.0
 		for i := 0; i < src.Count; i++ {
 			t += s.rng.expovariate(meanGap)
@@ -328,41 +347,36 @@ func (s *Sim) Run(sources []Source) (Stats, error) {
 			if len(path) == 0 {
 				return Stats{}, fmt.Errorf("eventsim: source %q produced empty path", src.Name)
 			}
-			fan := src.Fanout
-			if fan < 1 {
-				fan = 1
-			}
-			id := int32(len(s.packets))
-			s.packets = append(s.packets, Packet{
-				ID: int(id), Bytes: src.PacketBytes, InjectTime: t, Path: path, Fanout: fan,
+			s.events.push(t, int32(len(s.packets)))
+			s.packets = append(s.packets, packet{
+				bytes: src.PacketBytes, injectTime: t, path: path, fanout: fan,
 			})
-			pushEvent(&s.events, event{time: t, pkt: id})
-			s.stats.Injected++
 		}
 	}
+	s.stats.Injected = total
 
-	for len(s.events) > 0 {
-		ev := popEvent(&s.events)
-		p := &s.packets[ev.pkt]
-		if p.hop == len(p.Path) {
-			// Delivered: one latency sample, Fanout endpoint receptions.
-			lat := ev.time - p.InjectTime
-			s.stats.Delivered += p.Fanout
+	for s.events.len() > 0 {
+		now, pi := s.events.pop()
+		p := &s.packets[pi]
+		if p.hop == len(p.path) {
+			// Delivered: one latency sample, fanout endpoint receptions.
+			lat := now - p.injectTime
+			s.stats.Delivered += p.fanout
 			s.stats.latencySamples++
 			s.stats.TotalLatencySec += lat
 			if lat > s.stats.MaxLatencySec {
 				s.stats.MaxLatencySec = lat
 			}
-			if ev.time > s.stats.SimTimeSec {
-				s.stats.SimTimeSec = ev.time
+			if now > s.stats.SimTimeSec {
+				s.stats.SimTimeSec = now
 			}
 			if enabled {
 				s.rec.Observe("spacx_eventsim_packet_latency_seconds", lat)
 			}
 			continue
 		}
-		st := p.Path[p.hop]
-		depart, wait, ok := st.admit(ev.time, p.Bytes)
+		st := p.path[p.hop]
+		depart, wait, ok := st.admit(now, p.bytes)
 		if !ok {
 			s.stats.Dropped++
 			continue
@@ -372,7 +386,7 @@ func (s *Sim) Run(sources []Source) (Stats, error) {
 				obs.Label{Key: "station", Value: stationGroup(st.Name)})
 		}
 		p.hop++
-		pushEvent(&s.events, event{time: depart, pkt: ev.pkt})
+		s.events.push(depart, pi)
 	}
 	if enabled {
 		s.recordRunStats()

@@ -125,19 +125,58 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 func TestBadSources(t *testing.T) {
-	s := New(1)
-	st, _ := NewStation("l", 1e9, 1, 0)
-	st = s.AddStation(st)
-	if _, err := s.Run([]Source{{Name: "x", PacketBytes: 0, RateBytesSec: 1, Count: 1,
-		Path: func(int) []*Station { return []*Station{st} }}}); err == nil {
-		t.Error("zero packet size should fail")
+	one := func(int) []*Station {
+		st, _ := NewStation("l", 1e9, 1, 0)
+		return []*Station{st}
 	}
-	if _, err := s.Run([]Source{{Name: "x", PacketBytes: 64, RateBytesSec: 1, Count: 1,
-		Path: func(int) []*Station { return nil }}}); err == nil {
-		t.Error("empty path should fail")
+	// huge is the path of the sources Run must reject before injecting
+	// anything. It records a call and returns an empty path, so an
+	// implementation that starts injecting stops at the first packet
+	// instead of injecting billions.
+	injected := false
+	huge := func(int) []*Station {
+		injected = true
+		return nil
 	}
-	if _, err := s.Run([]Source{{Name: "x", PacketBytes: 64, RateBytesSec: 1, Count: 1}}); err == nil {
-		t.Error("nil path func should fail")
+	for _, tc := range []struct {
+		name    string
+		sources []Source
+		// upFront: Run must fail before it sizes its arenas or injects.
+		upFront bool
+	}{
+		{name: "zero packet size",
+			sources: []Source{{Name: "x", PacketBytes: 0, RateBytesSec: 1, Count: 1, Path: one}}},
+		{name: "empty path",
+			sources: []Source{{Name: "x", PacketBytes: 64, RateBytesSec: 1, Count: 1,
+				Path: func(int) []*Station { return nil }}}},
+		{name: "nil path func",
+			sources: []Source{{Name: "x", PacketBytes: 64, RateBytesSec: 1, Count: 1}}},
+		// Events index packets by int32, so the total packet count is capped
+		// at math.MaxInt32, and the sum must not wrap on the way there.
+		{name: "one source past int32", upFront: true,
+			sources: []Source{{Name: "x", PacketBytes: 64, RateBytesSec: 1, Count: math.MaxInt32 + 1, Path: huge}}},
+		{name: "sum past int32", upFront: true,
+			sources: []Source{
+				{Name: "x", PacketBytes: 64, RateBytesSec: 1, Count: math.MaxInt32, Path: huge},
+				{Name: "y", PacketBytes: 64, RateBytesSec: 1, Count: 1, Path: huge},
+			}},
+		{name: "sum past int", upFront: true,
+			sources: []Source{
+				{Name: "x", PacketBytes: 64, RateBytesSec: 1, Count: math.MaxInt32, Path: huge},
+				{Name: "y", PacketBytes: 64, RateBytesSec: 1, Count: math.MaxInt, Path: huge},
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			injected = false
+			s := New(1)
+			if _, err := s.Run(tc.sources); err == nil {
+				t.Fatal("Run accepted bad sources")
+			}
+			if tc.upFront && (injected || cap(s.packets) != 0 || cap(s.events.times) != 0) {
+				t.Errorf("Run rejected the sources only after injecting (%v) or sizing its arenas (%d packets, %d events)",
+					injected, cap(s.packets), cap(s.events.times))
+			}
+		})
 	}
 }
 

@@ -1,10 +1,15 @@
 package eventsim
 
-// The event queue is a typed binary min-heap of by-value events. Compared to
+// The event queue is a binary min-heap on event time, stored as two parallel
+// arrays: the times, and the packet index each time belongs to. Compared to
 // the container/heap implementation it replaces, it removes the interface{}
 // boxing on every Push/Pop — one heap allocation per event with the stdlib
-// API — and the per-event pointer chase; the backing slice lives on the Sim
-// and is reused across runs, so the steady state allocates nothing.
+// API — and the per-event pointer chase. Packing the two fields apart keeps
+// the sift comparisons on a dense []float64, 8 bytes a slot instead of a
+// padded 16-byte event struct. Run sizes both arrays once per call to the
+// number of packets it injects, which bounds the heap because a packet never
+// has more than one pending event; the arrays live on the Sim and are reused
+// across runs, so the steady state allocates nothing.
 //
 // The sift routines deliberately mirror container/heap's up/down comparison
 // sequence (strict-less child selection, >=-parent stop), and Run pushes
@@ -14,61 +19,80 @@ package eventsim
 // the array's full history — a different arity or construction order would
 // reorder tied deliveries, perturbing latency sums by one ulp and breaking
 // the byte-identity of the golden files. A 4-ary layout was measured and
-// rejected for exactly that reason; TestDifferentialReference pins the
-// bit-compatibility with the historical implementation.
+// rejected for exactly that reason; pushing each source's arrivals lazily
+// reorders ties too, so it waits for a change that regenerates the goldens.
+// Floyd's bottom-up pop keeps the order but measured slower than this one.
+// TestEventHeapMatchesContainerHeap pins the order against container/heap on
+// input that is mostly ties, and TestDifferentialReference pins the whole
+// loop against the historical implementation.
 
-// event is a packet arriving at its next hop. pkt indexes the Sim's packet
-// arena; events are moved by value and never hold pointers.
-type event struct {
-	time float64
-	pkt  int32
+// eventHeap is the event queue: times[i] is when packet pkts[i] reaches its
+// next hop.
+type eventHeap struct {
+	times []float64
+	pkts  []int32
 }
 
-// pushEvent appends v and sifts it up (container/heap Push).
-func pushEvent(h *[]event, v event) {
-	*h = append(*h, v)
-	s := *h
-	// up(j): climb while the new element is strictly smaller than its parent.
-	for j := len(s) - 1; j > 0; {
+// reset empties the heap, growing its arrays to hold n events if needed.
+func (h *eventHeap) reset(n int) {
+	if cap(h.times) < n {
+		h.times = make([]float64, 0, n)
+		h.pkts = make([]int32, 0, n)
+	}
+	h.times, h.pkts = h.times[:0], h.pkts[:0]
+}
+
+func (h *eventHeap) len() int { return len(h.times) }
+
+// push adds an event and sifts it up (container/heap Push): the new event
+// climbs while it is strictly earlier than its parent. The sift is
+// hole-style — parents move down and the event is written once at its final
+// slot — with container/heap's exact comparisons.
+func (h *eventHeap) push(t float64, pkt int32) {
+	times, pkts := append(h.times, t), append(h.pkts, pkt)
+	h.times, h.pkts = times, pkts
+	j := len(times) - 1
+	for j > 0 {
 		i := (j - 1) / 2
-		if s[j].time >= s[i].time {
+		if t >= times[i] {
 			break
 		}
-		s[i], s[j] = s[j], s[i]
+		times[j], pkts[j] = times[i], pkts[i]
 		j = i
 	}
+	times[j], pkts[j] = t, pkt
 }
 
-// popEvent removes and returns the minimum event (container/heap Pop: swap
-// the root with the last element, shrink, sift the new root down). The sift
-// is hole-style — the displaced element is written once at its final slot
-// instead of swapping at every level — but performs the exact comparison
-// sequence of container/heap's down(), so the resulting array layout (and
-// therefore tie ordering) is identical. The heap must be non-empty.
-func popEvent(h *[]event) event {
-	s := *h
-	n := len(s) - 1
-	top := s[0]
-	v := s[n]
-	*h = s[:n]
+// pop removes and returns the earliest event (container/heap Pop: move the
+// last element to the root, shrink, sift it down). The sift is hole-style
+// but performs the exact comparison sequence of container/heap's down(), so
+// the resulting array layout (and therefore tie ordering) is identical. The
+// heap must be non-empty. Reslicing pkts to len(times) and comparing child
+// indices as unsigned let the compiler drop most bounds checks in the sift.
+func (h *eventHeap) pop() (t float64, pkt int32) {
+	times := h.times
+	pkts := h.pkts[:len(times)]
+	n := len(times) - 1
+	t, pkt = times[0], pkts[0]
+	vt, vp := times[n], pkts[n]
+	h.times, h.pkts = times[:n], pkts[:n]
 	i := 0
 	for {
-		j1 := 2*i + 1
-		if j1 >= n {
+		j := 2*i + 1
+		if uint(j) >= uint(n) {
 			break
 		}
-		j := j1
-		if j2 := j1 + 1; j2 < n && s[j2].time < s[j1].time {
+		if j2 := j + 1; uint(j2) < uint(n) && times[j2] < times[j] {
 			j = j2
 		}
-		if s[j].time >= v.time {
+		if times[j] >= vt {
 			break
 		}
-		s[i] = s[j]
+		times[i], pkts[i] = times[j], pkts[j]
 		i = j
 	}
-	s[i] = v
-	return top
+	times[i], pkts[i] = vt, vp
+	return t, pkt
 }
 
 // pushMinFloat and popMinFloat keep a small binary min-heap of float64

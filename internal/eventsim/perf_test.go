@@ -1,13 +1,18 @@
 package eventsim
 
 import (
+	"container/heap"
+	"math"
+	"runtime"
+	"runtime/debug"
 	"testing"
 )
 
 // The tests in this file pin the performance contract of the arena rewrite:
-// zero steady-state allocations per Run, bit-identical Stats versus the
-// preserved container/heap reference implementation, and the station naming
-// convention the observability grouping depends on.
+// zero steady-state allocations per Run, a first Run whose allocations do not
+// grow with the packet count, bit-identical Stats versus the preserved
+// container/heap reference implementation, and the station naming convention
+// the observability grouping depends on.
 
 // benchNetworks builds each evaluation network on a fresh Sim and returns
 // sources shaped like the Figure 16 load (four interleaved classes at
@@ -89,37 +94,108 @@ func TestRunSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestFirstRunAllocsIndependentOfPackets asserts that Run sizes its packet
+// arena and event queue once, from the sources' packet count: the first Run
+// on a newly built Sim makes as many allocations at 20 000 packets as at
+// 2 000, where growing them by append would add a reallocation at every
+// growth step.
+func TestFirstRunAllocsIndependentOfPackets(t *testing.T) {
+	for _, kind := range []string{"simba", "popstar", "spacx"} {
+		t.Run(kind, func(t *testing.T) {
+			small, large := firstRunAllocs(t, kind, 2000), firstRunAllocs(t, kind, 20000)
+			if small != large {
+				t.Errorf("first Run allocated %d objects at 2000 packets and %d at 20000, want equal",
+					small, large)
+			}
+		})
+	}
+}
+
+// firstRunAllocs counts the heap objects allocated by the first Run on a
+// newly built Sim. Mallocs is process-wide, so anything else allocating
+// during the run (a GC cycle starting, a test-runner goroutine) adds to the
+// count: the collector is off while counting, and the count is the fewest
+// over three Sims.
+func firstRunAllocs(t *testing.T, kind string, packets int) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	fewest := uint64(math.MaxUint64)
+	for range 3 {
+		s := New(7)
+		sources := evalSources(buildEvalNetwork(t, kind, s), packets, 1)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.Run(sources); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
 // TestDifferentialReference runs the optimized event loop and the preserved
 // container/heap implementation on identically configured, identically
 // seeded simulators and requires bit-identical Stats. Equal event times are
 // common under this load, so any deviation in heap tie ordering shows up
-// here as a differing TotalLatencySec.
+// here as a differing TotalLatencySec. 20 000 packets is spacx-report's
+// default -fig16-packets.
 func TestDifferentialReference(t *testing.T) {
 	for _, kind := range []string{"simba", "popstar", "spacx"} {
-		for _, seed := range []uint64{1, 42, 0xC0FFEE, 0xDEADBEEF} {
-			fanout := 1
-			if kind == "spacx" {
-				fanout = 12
-			}
+		for _, packets := range []int{3000, 20000} {
+			for _, seed := range []uint64{1, 42, 0xC0FFEE, 0xDEADBEEF} {
+				fanout := 1
+				if kind == "spacx" {
+					fanout = 12
+				}
 
-			opt := New(seed)
-			optPath := buildEvalNetwork(t, kind, opt)
-			got, err := opt.Run(evalSources(optPath, 3000, fanout))
-			if err != nil {
-				t.Fatal(err)
-			}
+				opt := New(seed)
+				optPath := buildEvalNetwork(t, kind, opt)
+				got, err := opt.Run(evalSources(optPath, packets, fanout))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			ref := New(seed)
-			refPath := buildEvalNetwork(t, kind, ref)
-			want, err := referenceRun(ref, evalSources(refPath, 3000, fanout))
-			if err != nil {
-				t.Fatal(err)
-			}
+				ref := New(seed)
+				refPath := buildEvalNetwork(t, kind, ref)
+				want, err := referenceRun(ref, evalSources(refPath, packets, fanout))
+				if err != nil {
+					t.Fatal(err)
+				}
 
-			if got != want {
-				t.Errorf("%s seed=%#x: optimized Stats %+v != reference %+v",
-					kind, seed, got, want)
+				if got != want {
+					t.Errorf("%s packets=%d seed=%#x: optimized Stats %+v != reference %+v",
+						kind, packets, seed, got, want)
+				}
 			}
+		}
+	}
+}
+
+// TestEventHeapMatchesContainerHeap drives the packed event heap and
+// container/heap through the same random interleaving of pushes and pops,
+// with times drawn from four values so most comparisons are ties, and
+// requires both to pop the same packets in the same order. The event-loop
+// comparison above reaches only the ties its load happens to produce.
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	r := newRNG(3)
+	pkts := make([]refPacket, 5000)
+	var h eventHeap
+	h.reset(len(pkts))
+	var ref refHeap
+	next := 0
+	for next < len(pkts) || h.len() > 0 {
+		if next < len(pkts) && (h.len() == 0 || r.next()%3 != 0) {
+			at := float64(r.next() % 4)
+			h.push(at, int32(next))
+			heap.Push(&ref, refEvent{time: at, pkt: &pkts[next]})
+			next++
+			continue
+		}
+		at, pkt := h.pop()
+		want := heap.Pop(&ref).(refEvent)
+		if at != want.time || &pkts[pkt] != want.pkt {
+			t.Fatalf("after %d pushes: popped packet %d at %v, container/heap popped another at %v",
+				next, pkt, at, want.time)
 		}
 	}
 }

@@ -30,7 +30,7 @@ func TestAnalyticalAndEventSimAgreeOnOrdering(t *testing.T) {
 			}
 			comm[ai] += r.CommSec * float64(l.Repeat)
 		}
-		stats, err := packetRun(acc, m, 2000, 0xC0FFEE+uint64(ai), nil)
+		stats, err := packetRun(&simList{}, acc, m, 2000, 0xC0FFEE+uint64(ai), nil)
 		if err != nil {
 			t.Fatal(err)
 		}

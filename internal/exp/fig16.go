@@ -84,40 +84,55 @@ func loadFor(acc sim.Accelerator, m dnn.Model) (fig16Load, error) {
 	return out, nil
 }
 
-// builtSim is a constructed event simulator plus its path chooser, pooled by
-// accelerator so repeated packetRun calls skip station construction entirely.
+// builtSim is a constructed event simulator plus its path chooser, and the
+// simList key it was built for.
 type builtSim struct {
 	s    *eventsim.Sim
 	path func(int) []*eventsim.Station
+	key  string
 }
 
-// simPools holds one free list of built simulators per accelerator
-// configuration. Sim.Run resets every station and buffer it touches; the RNG
-// is the only state that survives a run, and packetRun reseeds it before each
-// use, so a pooled simulator behaves identically to a freshly built one.
-var simPools sync.Map // string -> *sync.Pool
+// simList is a free list of built simulators, keyed by accelerator name and
+// M×N, that lives for one Fig16 call. A run takes a simulator for its
+// accelerator, or builds one, and returns it when the run drains, so the
+// call builds one simulator per accelerator per point running at the same
+// time (exactly one per accelerator at -j 1), and the other models reuse its
+// stations and packet arena. Sim.Run resets every station and buffer it
+// touches; the RNG is the only state that survives a run, and
+// packetRunUncached reseeds it, so a reused simulator behaves identically to
+// a freshly built one.
+type simList struct {
+	mu   sync.Mutex
+	free map[string][]*builtSim
+}
 
-func getSim(acc sim.Accelerator) (*builtSim, string, error) {
+func (l *simList) get(acc sim.Accelerator) (*builtSim, error) {
 	key := acc.Name() + "/" + strconv.Itoa(acc.Arch.M) + "x" + strconv.Itoa(acc.Arch.N)
-	poolAny, ok := simPools.Load(key)
-	if !ok {
-		poolAny, _ = simPools.LoadOrStore(key, &sync.Pool{})
+	l.mu.Lock()
+	free := l.free[key]
+	if n := len(free); n > 0 {
+		// Take the simulator before unlocking: a put may reuse its slot.
+		bs := free[n-1]
+		l.free[key] = free[:n-1]
+		l.mu.Unlock()
+		return bs, nil
 	}
-	if bs, ok := poolAny.(*sync.Pool).Get().(*builtSim); ok {
-		return bs, key, nil
-	}
+	l.mu.Unlock()
 	s := eventsim.New(0)
 	path, err := buildNetwork(s, acc)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
-	return &builtSim{s: s, path: path}, key, nil
+	return &builtSim{s: s, path: path, key: key}, nil
 }
 
-func putSim(key string, bs *builtSim) {
-	bs.s.SetRecorder(obs.Nop()) // don't retain the caller's recorder
-	poolAny, _ := simPools.Load(key)
-	poolAny.(*sync.Pool).Put(bs)
+func (l *simList) put(bs *builtSim) {
+	l.mu.Lock()
+	if l.free == nil {
+		l.free = map[string][]*builtSim{}
+	}
+	l.free[bs.key] = append(l.free[bs.key], bs)
+	l.mu.Unlock()
 }
 
 // buildNetwork registers the accelerator's station pipeline (Table II
@@ -207,34 +222,35 @@ func packetKeyFor(acc sim.Accelerator, m dnn.Model, packets int, seed uint64) (p
 // is paid once per configuration instead of once per call.
 var packetCache engine.Cache[packetKey, eventsim.Stats]
 
-// packetRun is packetRunUncached memoized on the full run configuration.
+// packetRun is packetRunUncached memoized on the full run configuration;
+// a run the memo misses takes its simulator from sims.
 // Observed runs (rec enabled) execute uncached — the per-packet histograms
 // and utilization gauges are a side effect the cache cannot replay — but
 // still seed the cache for later unobserved callers.
-func packetRun(acc sim.Accelerator, m dnn.Model, packets int, seed uint64, rec obs.Recorder) (eventsim.Stats, error) {
+func packetRun(sims *simList, acc sim.Accelerator, m dnn.Model, packets int, seed uint64, rec obs.Recorder) (eventsim.Stats, error) {
 	if rec == nil {
 		rec = obs.Nop()
 	}
 	k, ok := packetKeyFor(acc, m, packets, seed)
 	if !ok {
-		return packetRunUncached(acc, m, packets, seed, rec)
+		return packetRunUncached(sims, acc, m, packets, seed, rec)
 	}
 	if rec.Enabled() {
-		stats, err := packetRunUncached(acc, m, packets, seed, rec)
+		stats, err := packetRunUncached(sims, acc, m, packets, seed, rec)
 		if err == nil {
 			packetCache.Put(k, stats, nil)
 		}
 		return stats, err
 	}
 	return packetCache.Do(k, func() (eventsim.Stats, error) {
-		return packetRunUncached(acc, m, packets, seed, rec)
+		return packetRunUncached(sims, acc, m, packets, seed, rec)
 	})
 }
 
 // packetRunUncached injects the model's own traffic volume over its own
 // execution window through the accelerator's station pipeline and returns the
 // drained statistics; rec observes per-packet latency and station utilization.
-func packetRunUncached(acc sim.Accelerator, m dnn.Model, packets int, seed uint64, rec obs.Recorder) (eventsim.Stats, error) {
+func packetRunUncached(sims *simList, acc sim.Accelerator, m dnn.Model, packets int, seed uint64, rec obs.Recorder) (eventsim.Stats, error) {
 	load, err := loadFor(acc, m)
 	if err != nil {
 		return eventsim.Stats{}, err
@@ -244,11 +260,11 @@ func packetRunUncached(acc sim.Accelerator, m dnn.Model, packets int, seed uint6
 		total += b
 	}
 
-	bs, key, err := getSim(acc)
+	bs, err := sims.get(acc)
 	if err != nil {
 		return eventsim.Stats{}, err
 	}
-	defer putSim(key, bs)
+	defer sims.put(bs)
 	bs.s.Reseed(seed)
 	bs.s.SetRecorder(rec)
 	path := bs.path
@@ -289,7 +305,8 @@ func packetRunUncached(acc sim.Accelerator, m dnn.Model, packets int, seed uint6
 // traffic on the accelerator's network (the Figure 16 methodology for a
 // single accelerator), populating packet-latency and queue-wait histograms
 // plus station-utilization gauges through rec. The CLIs use it to include
-// event-simulation data in a -metrics snapshot.
+// event-simulation data in a -metrics snapshot. A run the packet memo
+// misses builds its own simulator, on a simList of its own.
 func NetworkProbe(acc sim.Accelerator, m dnn.Model, packets int, rec obs.Recorder) (eventsim.Stats, error) {
 	if packets <= 0 {
 		packets = 20000
@@ -300,7 +317,7 @@ func NetworkProbe(acc sim.Accelerator, m dnn.Model, packets int, rec obs.Recorde
 	var stats eventsim.Stats
 	err := point("network-probe", func() error {
 		var err error
-		stats, err = packetRun(acc, m, packets, 0xC0FFEE, rec)
+		stats, err = packetRun(&simList{}, acc, m, packets, 0xC0FFEE, rec)
 		return err
 	}, "model", m.Name, "accel", acc.Name(), "packets", packets)
 	return stats, err
@@ -310,19 +327,21 @@ func NetworkProbe(acc sim.Accelerator, m dnn.Model, packets int, rec obs.Recorde
 // models on the three accelerators. Packet sources inject each accelerator's
 // own traffic volume over its own execution window (a sampled fraction, to
 // keep event counts tractable) through its station pipeline. Each of the
-// twelve event simulations is independent (its own seeded eventsim.Sim), so
-// they run across the worker pool; the seeds depend only on the accelerator
-// index, keeping every run identical at any worker count.
+// twelve event simulations is independent (a freshly seeded eventsim.Sim,
+// reused from this call's simList), so they run across the worker pool; the
+// seeds depend only on the accelerator index, keeping every run identical
+// at any worker count.
 func Fig16(packetsPerRun int) ([]Fig16Row, error) {
 	if packetsPerRun <= 0 {
 		packetsPerRun = 20000
 	}
 	models := dnn.Benchmarks()
 	accs := sim.EvalAccelerators()
+	var sims simList
 	results, err := mapPoints("fig16", len(models)*len(accs), func(i int) (eventsim.Stats, error) {
 		m, ai := models[i/len(accs)], i%len(accs)
 		acc := accs[ai]
-		stats, err := packetRun(acc, m, packetsPerRun, 0xC0FFEE+uint64(ai), recorder)
+		stats, err := packetRun(&sims, acc, m, packetsPerRun, 0xC0FFEE+uint64(ai), recorder)
 		if err == nil {
 			recorder.Logger().Info("fig16 point", "model", m.Name, "accel", acc.Name())
 		}

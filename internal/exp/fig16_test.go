@@ -1,11 +1,14 @@
 package exp
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"spacx/internal/dnn"
 	"spacx/internal/eventsim"
+	"spacx/internal/sim"
 )
 
 // statsWith fabricates drained Stats with the given mean latency and
@@ -65,4 +68,34 @@ func TestFig16RowsDegenerateBaseline(t *testing.T) {
 			t.Errorf("error should name the degenerate baseline, got: %v", err)
 		}
 	}
+}
+
+// TestSimListHandsOutEachSimulatorOnce takes and returns simulators on one
+// simList from several goroutines at once, as Fig16's workers do: no
+// simulator may be held by two of them at the same time.
+func TestSimListHandsOutEachSimulatorOnce(t *testing.T) {
+	var sims simList
+	acc := sim.EvalAccelerators()[2] // SPACX: the cheapest network to build
+	var held sync.Map
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				bs, err := sims.get(acc)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if _, dup := held.LoadOrStore(bs, true); dup {
+					t.Error("simulator handed to two goroutines at once")
+				}
+				runtime.Gosched()
+				held.Delete(bs)
+				sims.put(bs)
+			}
+		}()
+	}
+	wg.Wait()
 }
