@@ -1,8 +1,8 @@
 # Convenience targets mirroring .github/workflows/ci.yml.
 
-.PHONY: ci fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench bench-json bench-check bench-module golden
+.PHONY: ci fmt vet build test exp-race obs-race thermal-race serve-race report-smoke api-smoke cover fuzz bench bench-json bench-check bench-module golden
 
-ci: fmt vet build test exp-race obs-race thermal-race serve-race serve-smoke api-smoke cover fuzz bench-check bench-module
+ci: fmt vet build test exp-race obs-race thermal-race serve-race report-smoke api-smoke cover fuzz bench-check bench-module
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -32,28 +32,24 @@ thermal-race:
 	go test -race -count=1 ./internal/thermal/...
 	go test -race -count=1 -run 'Thermal' ./internal/sim/ ./internal/exp/ ./internal/serve/
 
-# The serving core's shared catalog under the race detector, ten times:
-# concurrent requests on every endpoint that reads it, and served bodies
-# (miss and hit) byte-identical to direct simulator runs.
+# The serving core under the race detector, ten times: concurrent requests
+# on every endpoint that reads the shared catalog, served bodies (miss and
+# hit) byte-identical to direct simulator runs, and misses admitted while
+# Close runs never stranded.
 serve-race:
-	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun' ./internal/serve/
+	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun|TestCloseNeverStrandsAdmittedMiss' ./internal/serve/
 
-# End-to-end smoke of the live observability server and the run ledger:
-# serve a real run, scrape every endpoint, then check the appended record.
-serve-smoke:
-	@go build -o /tmp/spacx-report ./cmd/spacx-report; \
-	rm -f /tmp/runs.jsonl; \
-	/tmp/spacx-report -only table1 -http 127.0.0.1:19793 -http-linger 10s -ledger /tmp/runs.jsonl >/dev/null & \
-	pid=$$!; \
-	for i in $$(seq 1 50); do curl -sf http://127.0.0.1:19793/healthz >/dev/null && break; sleep 0.1; done; \
-	curl -sf http://127.0.0.1:19793/healthz >/dev/null; \
-	curl -sf http://127.0.0.1:19793/progress >/dev/null; \
-	curl -sf http://127.0.0.1:19793/runs >/dev/null; \
-	curl -sf http://127.0.0.1:19793/metrics | grep -qm1 spacx_exp_points_total; \
-	wait $$pid; \
+# End-to-end smoke of spacx-report's batch observability: one run writes a
+# -metrics snapshot and appends exactly one well-formed -ledger record.
+report-smoke:
+	@set -e; \
+	go build -o /tmp/spacx-report ./cmd/spacx-report; \
+	rm -f /tmp/report-smoke.prom /tmp/runs.jsonl; \
+	/tmp/spacx-report -only table1 -metrics /tmp/report-smoke.prom -ledger /tmp/runs.jsonl >/dev/null; \
+	grep -qm1 spacx_exp_points_total /tmp/report-smoke.prom; \
 	test "$$(wc -l < /tmp/runs.jsonl)" -eq 1; \
 	python3 -c "import json; r = json.load(open('/tmp/runs.jsonl')); assert r['schema'] == 1 and r['wall_sec'] > 0 and r['drivers'], r"; \
-	echo "serve smoke ok"
+	echo "report smoke ok"
 
 # End-to-end smoke of the spacx-serve API under the race detector:
 # concurrent duplicated requests (cache + singleflight must engage), then a

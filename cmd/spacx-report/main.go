@@ -1,10 +1,14 @@
 // Command spacx-report regenerates every table and figure of the paper's
-// evaluation section (see DESIGN.md's experiment index) as text.
+// evaluation section (see DESIGN.md's experiment index) as text, including
+// the design-space sweeps: the granularity power surfaces (fig19, fig20)
+// and the scalability study (fig22). A power surface at another machine
+// size is spacx.PowerSurface(m, n, params).
 //
 // Usage:
 //
 //	spacx-report                # everything
 //	spacx-report -only fig15    # one artifact
+//	spacx-report -only fig22 -format csv
 //	spacx-report -only fig16 -v -metrics /tmp/report.prom
 //	spacx-report -j 1           # force sequential evaluation
 //
@@ -15,15 +19,12 @@
 // Observability: -v logs a structured progress line per experiment point to
 // stderr; -metrics writes the accumulated counters and histograms (Prometheus
 // text format, JSON when the path ends in .json, or stdout when the path is
-// "-"); -cpuprofile and -memprofile write runtime/pprof profiles.
-//
-// Live observability: -http addr serves /metrics, /progress, /runs,
-// /healthz, and /debug/pprof/ while the run executes (the server lingers
-// -http-linger after the run for a final scrape); -progress prints a
-// one-line progress ticker to stderr; -ledger path appends one JSON record
-// per run (wall times, per-driver point counts, peak goroutines/heap,
-// histogram quantiles) and -regress ratio fails the run comparison against
-// the previous ledger record to stderr when a driver slowed past the ratio.
+// "-"); -cpuprofile and -memprofile write runtime/pprof profiles; -ledger
+// path appends one JSON record per run (wall times, per-driver point counts,
+// peak goroutines/heap, histogram quantiles) and -regress ratio prints the
+// comparison against the previous ledger record to stderr, flagging drivers
+// that slowed past the ratio. SIGINT or SIGTERM stops the run and still
+// flushes -metrics and -ledger.
 package main
 
 import (
@@ -36,14 +37,12 @@ import (
 	"runtime"
 	"strings"
 	"syscall"
-	"time"
 
 	"spacx/internal/buildinfo"
 	"spacx/internal/exp"
 	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
 	"spacx/internal/obs/ledger"
-	"spacx/internal/obs/server"
 	"spacx/internal/report"
 )
 
@@ -58,11 +57,8 @@ type options struct {
 	memProfile string
 	verbose    bool
 
-	httpAddr   string
-	httpLinger time.Duration
 	ledgerPath string
 	ledgerKeep int
-	progress   bool
 	regress    float64
 	version    bool
 }
@@ -85,11 +81,8 @@ func main() {
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this path on exit")
 	flag.BoolVar(&o.verbose, "v", false, "log structured per-point progress to stderr")
-	flag.StringVar(&o.httpAddr, "http", "", "serve live observability endpoints on this address (e.g. 127.0.0.1:9090)")
-	flag.DurationVar(&o.httpLinger, "http-linger", 2*time.Second, "keep the -http server up this long after the run for a final scrape")
 	flag.StringVar(&o.ledgerPath, "ledger", "", "append a JSON run record to this file (e.g. runs.jsonl)")
 	flag.IntVar(&o.ledgerKeep, "ledger-keep", 0, "on startup, prune the -ledger file to its newest N records, dropping schema-mismatched lines (0 disables)")
-	flag.BoolVar(&o.progress, "progress", false, "print a live progress line to stderr every second")
 	flag.Float64Var(&o.regress, "regress", 0, "report drivers slower than this ratio vs the previous -ledger record (0 disables)")
 	flag.BoolVar(&o.version, "version", false, "print build info and exit")
 	flag.Parse()
@@ -131,9 +124,6 @@ func run(o options) error {
 	}
 	if o.jobs < 1 {
 		return fmt.Errorf("-j must be >= 1, got %d", o.jobs)
-	}
-	if o.httpLinger < 0 {
-		return fmt.Errorf("-http-linger must be >= 0, got %v", o.httpLinger)
 	}
 	if o.regress < 0 {
 		return fmt.Errorf("-regress must be >= 0, got %v", o.regress)
@@ -177,43 +167,19 @@ func run(o options) error {
 	}()
 
 	var reg *obs.Registry
-	if o.metrics != "" || o.verbose || o.httpAddr != "" || o.ledgerPath != "" {
+	if o.metrics != "" || o.verbose || o.ledgerPath != "" {
 		reg = obs.NewRegistry(obs.NewLogger(os.Stderr, o.verbose))
 		exp.SetRecorder(reg)
 		defer exp.SetRecorder(nil)
 	}
+	// The ledger's per-driver table reads the engine's phase progress.
 	var prog *engine.Progress
-	if o.httpAddr != "" || o.ledgerPath != "" || o.progress {
+	var sampler *ledger.Sampler
+	if o.ledgerPath != "" {
 		prog = engine.NewProgress()
 		exp.SetProgress(prog)
 		defer exp.SetProgress(nil)
-	}
-
-	var srv *server.Server
-	if o.httpAddr != "" {
-		srv, err = server.Start(o.httpAddr, server.Options{
-			Registry: reg,
-			Progress: prog,
-			Runs: func() ([]ledger.Record, error) {
-				if o.ledgerPath == "" {
-					return nil, nil
-				}
-				return ledger.Read(o.ledgerPath)
-			},
-		})
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "observability: serving http://%s/ (metrics, progress, runs, pprof)\n", srv.Addr())
-	}
-	var sampler *ledger.Sampler
-	if o.ledgerPath != "" {
 		sampler = ledger.StartSampler(0)
-	}
-	stopTicker := func() {}
-	if o.progress {
-		stopTicker = prog.StartTicker(os.Stderr, time.Second)
 	}
 
 	var renderErr error
@@ -222,7 +188,6 @@ func run(o options) error {
 	} else {
 		renderErr = runText(os.Stdout, o.only, o.packets)
 	}
-	stopTicker()
 	interrupted := errors.Is(renderErr, context.Canceled)
 	if renderErr != nil && !interrupted {
 		return renderErr
@@ -260,13 +225,6 @@ func run(o options) error {
 			return err
 		}
 		fmt.Fprintf(os.Stderr, "run recorded to %s\n", o.ledgerPath)
-	}
-	if srv != nil {
-		// Keep serving the completed /progress, /runs, and final metrics
-		// until a scraper collects them or the linger window closes.
-		if err := srv.DrainAndShutdown(o.httpLinger, 200*time.Millisecond); err != nil {
-			fmt.Fprintln(os.Stderr, "spacx-report: observability server:", err)
-		}
 	}
 	if interrupted {
 		return renderErr

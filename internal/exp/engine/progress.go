@@ -2,8 +2,6 @@ package engine
 
 import (
 	"context"
-	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,10 +12,10 @@ import (
 // Progress tracks the live state of a multi-phase sweep: each experiment
 // driver is one named Phase, and every point it fans across the worker pool
 // increments atomic submitted/started/done counters. A Progress is shared
-// between the running drivers, the observability server's /progress endpoint,
-// and the -progress stderr ticker, so all methods are safe for concurrent
-// use; the nil *Progress and nil *Phase are valid no-op receivers, keeping
-// untracked runs free of conditionals.
+// between the running drivers and its readers (the run ledger's per-driver
+// table, spacx-serve's /progress endpoint), so all methods are safe for
+// concurrent use; the nil *Progress and nil *Phase are valid no-op
+// receivers, keeping untracked runs free of conditionals.
 type Progress struct {
 	mu     sync.Mutex
 	start  time.Time
@@ -176,58 +174,6 @@ func (p *Progress) Status() Status {
 		st.Phases = append(st.Phases, ps)
 	}
 	return st
-}
-
-// StartTicker writes a one-line progress summary to w every interval until
-// the returned stop function is called (stop waits for the ticker goroutine
-// to exit and emits one final line). A nil Progress returns a no-op stop.
-func (p *Progress) StartTicker(w io.Writer, every time.Duration) (stop func()) {
-	if p == nil {
-		return func() {}
-	}
-	if every <= 0 {
-		every = time.Second
-	}
-	quit := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		t := time.NewTicker(every)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				fmt.Fprintln(w, p.summaryLine())
-			case <-quit:
-				return
-			}
-		}
-	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(quit)
-			<-done
-			fmt.Fprintln(w, p.summaryLine())
-		})
-	}
-}
-
-// summaryLine renders the overall counts plus the currently active phases.
-func (p *Progress) summaryLine() string {
-	st := p.Status()
-	line := fmt.Sprintf("progress: %d/%d points (%.1fs elapsed)", st.Done, st.Total, st.ElapsedSec)
-	for _, ph := range st.Phases {
-		if !ph.Active {
-			continue
-		}
-		line += fmt.Sprintf(" [%s %d/%d", ph.Name, ph.Done, ph.Total)
-		if ph.RatePerSec > 0 {
-			line += fmt.Sprintf(" %.1f/s eta %.1fs", ph.RatePerSec, ph.ETASec)
-		}
-		line += "]"
-	}
-	return line
 }
 
 // ForEachPhase is ForEach with per-point progress accounting: the phase sees

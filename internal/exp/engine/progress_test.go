@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -68,8 +67,6 @@ func TestProgressNilSafe(t *testing.T) {
 	if st := p.Status(); st.Total != 0 || len(st.Phases) != 0 {
 		t.Errorf("nil progress status not zero: %+v", st)
 	}
-	stop := p.StartTicker(nil, time.Millisecond)
-	stop()
 	if out, err := MapPhase(context.Background(), ph, 4, 3, func(i int) (int, error) { return i, nil }); err != nil || len(out) != 3 {
 		t.Errorf("MapPhase with nil phase: %v %v", out, err)
 	}
@@ -116,43 +113,6 @@ func TestProgressStatusSerializes(t *testing.T) {
 			t.Errorf("status JSON missing %s: %s", want, b)
 		}
 	}
-}
-
-func TestTickerEmitsAndStops(t *testing.T) {
-	p := NewProgress()
-	var buf syncBuffer
-	stop := p.StartTicker(&buf, time.Millisecond)
-	if err := ForEachPhase(context.Background(), p.Phase("s"), 2, 50, func(int) error {
-		time.Sleep(100 * time.Microsecond)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	stop()
-	stop() // idempotent
-	out := buf.String()
-	if !strings.Contains(out, "progress: ") || !strings.Contains(out, "50/50 points") {
-		t.Errorf("ticker output missing final summary:\n%s", out)
-	}
-}
-
-// syncBuffer is a mutex-guarded strings.Builder: the ticker goroutine writes
-// while the test reads.
-type syncBuffer struct {
-	mu sync.Mutex
-	b  strings.Builder
-}
-
-func (s *syncBuffer) Write(p []byte) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.Write(p)
-}
-
-func (s *syncBuffer) String() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.b.String()
 }
 
 func TestProgressETAZeroRatePhase(t *testing.T) {

@@ -204,8 +204,8 @@ func Fig20() ([]spacxnet.PowerPoint, error) {
 // PowerSweep is the Figures 19/20 broadcast-granularity power sweep at
 // arbitrary scale: the (gK, gEF) grid is evaluated across the worker pool in
 // the row-major order of spacxnet.PowerSurface, and per-point progress is
-// reported in that order through the package recorder (cmd/spacx-sweep's -v
-// and -metrics).
+// reported in that order through the package recorder (spacx-report's -v
+// and -metrics for fig19 and fig20).
 func PowerSweep(m, n int, p photonic.Params) ([]spacxnet.PowerPoint, error) {
 	if m <= 0 || n <= 0 {
 		return nil, fmt.Errorf("exp: power sweep needs positive M, N; got %d, %d", m, n)

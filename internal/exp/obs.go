@@ -69,8 +69,8 @@ func mapPoints[T any](sweep string, n int, fn func(i int) (T, error)) ([]T, erro
 }
 
 // track wraps a single-shot driver (the tables, the area estimate) as a
-// one-point sweep so its wall time shows up in /progress and the run ledger
-// alongside the fanned-out figures.
+// one-point sweep so its wall time shows up in the run ledger alongside the
+// fanned-out figures.
 func track[T any](sweep string, fn func() (T, error)) (T, error) {
 	out, err := mapPoints(sweep, 1, func(int) (T, error) { return fn() })
 	if err != nil {

@@ -143,7 +143,18 @@ type PowerPoint struct {
 // PowerSurface evaluates the Figure 19/20 sweep: every power-of-two
 // (gK, gEF) granularity pair dividing (N, M), in row-major gK order.
 func PowerSurface(m, n int, params photonic.Params) ([]PowerPoint, error) {
-	return PowerSurfaceFunc(m, n, params, nil)
+	if m <= 0 || n <= 0 {
+		return nil, fmt.Errorf("spacxnet: power surface needs positive M, N; got %d, %d", m, n)
+	}
+	var pts []PowerPoint
+	for _, g := range GranularityGrid(m, n) {
+		c, err := New(m, n, g[1], g[0], params)
+		if err != nil {
+			return nil, err
+		}
+		pts = append(pts, PowerPoint{GK: g[0], GEF: g[1], PowerBreakdown: c.Power()})
+	}
+	return pts, nil
 }
 
 // GranularityGrid enumerates the sweep points of PowerSurface: every
@@ -164,25 +175,4 @@ func GranularityGrid(m, n int) [][2]int {
 		}
 	}
 	return grid
-}
-
-// PowerSurfaceFunc is PowerSurface with a per-point visit callback (nil to
-// disable), letting sweep drivers report progress as points complete.
-func PowerSurfaceFunc(m, n int, params photonic.Params, visit func(PowerPoint)) ([]PowerPoint, error) {
-	if m <= 0 || n <= 0 {
-		return nil, fmt.Errorf("spacxnet: power surface needs positive M, N; got %d, %d", m, n)
-	}
-	var pts []PowerPoint
-	for _, g := range GranularityGrid(m, n) {
-		c, err := New(m, n, g[1], g[0], params)
-		if err != nil {
-			return nil, err
-		}
-		pt := PowerPoint{GK: g[0], GEF: g[1], PowerBreakdown: c.Power()}
-		pts = append(pts, pt)
-		if visit != nil {
-			visit(pt)
-		}
-	}
-	return pts, nil
 }

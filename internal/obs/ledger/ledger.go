@@ -1,11 +1,11 @@
-// Package ledger is the persistent run ledger: every spacx-report or
-// spacx-sweep invocation appends one schema-versioned JSON line to an
-// append-only file (default runs.jsonl), recording when and where the run
-// happened, its worker count, per-driver wall times and point counts from
-// the experiment engine, peak goroutine/heap pressure, and the final
-// counter/histogram summaries (with interpolated p50/p95/p99). Successive
-// records form the repository's benchmark trajectory; Compare turns two of
-// them into a per-driver regression report.
+// Package ledger is the persistent run ledger: every spacx-report -ledger
+// invocation appends one schema-versioned JSON line to an append-only file
+// (for example runs.jsonl), recording when and where the run happened, its
+// worker count, per-driver wall times and point counts from the experiment
+// engine, peak goroutine/heap pressure, and the final counter/histogram
+// summaries (with interpolated p50/p95/p99). Successive records form the
+// repository's benchmark trajectory; Compare turns two of them into a
+// per-driver regression report.
 package ledger
 
 import (

@@ -40,7 +40,7 @@ func TestPruneKeepsNewestN(t *testing.T) {
 
 func TestPruneDropsSchemaMismatchedAndUnparsableLines(t *testing.T) {
 	path := prunePath(t)
-	if err := Append(path, New("spacx-sweep", "power", 1)); err != nil {
+	if err := Append(path, New("spacx-report", "fig19", 1)); err != nil {
 		t.Fatal(err)
 	}
 	// A line from a hypothetical newer binary, and a corrupted line.
@@ -67,7 +67,7 @@ func TestPruneDropsSchemaMismatchedAndUnparsableLines(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pruned file must read cleanly: %v", err)
 	}
-	if len(recs) != 1 || recs[0].Cmd != "spacx-sweep" {
+	if len(recs) != 1 || recs[0].Cmd != "spacx-report" {
 		t.Fatalf("surviving records = %+v", recs)
 	}
 }

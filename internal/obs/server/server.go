@@ -1,14 +1,13 @@
-// Package server is the live observability surface of the simulator CLIs:
-// an embeddable stdlib-only HTTP server that exposes the in-process metrics
-// registry (Prometheus text and JSON), health and readiness probes, the
-// experiment engine's live progress (per-phase totals, rates, ETA), the
-// persistent run ledger, and net/http/pprof — everything a dashboard or a
-// scrape job needs to watch a long -j N sweep while it runs.
+// Package server is spacx-serve's HTTP surface: an embeddable stdlib-only
+// server that exposes the in-process metrics registry (Prometheus text and
+// JSON), health and readiness probes, the served points' progress, recent
+// request and job traces, build info, and net/http/pprof, and mounts the /v1
+// API on the same listener.
 //
-// Lifecycle: Start listens and serves immediately; when the run finishes
-// the CLI calls DrainAndShutdown, which flips /readyz to 503 but keeps every
-// endpoint serving until a final metrics scrape lands (or the linger window
-// expires), so a scraper never loses the end-of-run sample.
+// Lifecycle: Start listens and serves immediately; when the service has
+// drained, the caller runs DrainAndShutdown, which flips /readyz to 503 but
+// keeps every endpoint serving until a final metrics scrape lands (or the
+// linger window expires), so a scraper never loses the last sample.
 package server
 
 import (
@@ -26,20 +25,16 @@ import (
 	"spacx/internal/buildinfo"
 	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
-	"spacx/internal/obs/ledger"
 	"spacx/internal/obs/tracing"
 )
 
-// Options wires the server to the run's observability state; every field is
-// optional.
+// Options wires the server to the process's observability state; every
+// field is optional.
 type Options struct {
 	// Registry backs /metrics and /metrics.json.
 	Registry *obs.Registry
 	// Progress backs /progress (nil serves the zero status).
 	Progress *engine.Progress
-	// Runs loads the ledger for /runs, oldest-first; the handler reverses
-	// it. Nil serves an empty list.
-	Runs func() ([]ledger.Record, error)
 	// Traces backs /traces and /traces/{id} (nil serves 404s).
 	Traces *tracing.Collector
 	// WriteTimeout bounds each response write to a client; a reader slower
@@ -104,7 +99,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/metrics.json", s.handleMetricsJSON)
 	mux.HandleFunc("/progress", s.handleProgress)
-	mux.HandleFunc("/runs", s.handleRuns)
 	mux.HandleFunc("/version", s.handleVersion)
 	mux.HandleFunc("/traces", s.handleTraces)
 	mux.HandleFunc("/traces/{id}", s.handleTrace)
@@ -135,9 +129,8 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /metrics       Prometheus text exposition (0.0.4)
   /metrics.json  metrics snapshot as JSON
   /healthz       liveness (always 200 while serving)
-  /readyz        readiness (503 before the run and while draining)
-  /progress      live sweep progress: per-phase points, rate, ETA
-  /runs          run ledger, newest first
+  /readyz        readiness (503 while draining)
+  /progress      served points per phase: totals, rate, ETA
   /version       build info: module version, go version, vcs revision
   /traces        recent request/job traces, newest first
   /traces/{id}   one trace as a span tree
@@ -179,21 +172,6 @@ func (s *Server) handleMetricsJSON(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleProgress(w http.ResponseWriter, _ *http.Request) {
 	s.writeJSON(w, s.opts.Progress.Status()) // nil Progress yields the zero Status
-}
-
-func (s *Server) handleRuns(w http.ResponseWriter, _ *http.Request) {
-	recs := []ledger.Record{}
-	if s.opts.Runs != nil {
-		loaded, err := s.opts.Runs()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		for i := len(loaded) - 1; i >= 0; i-- { // newest first
-			recs = append(recs, loaded[i])
-		}
-	}
-	s.writeJSON(w, recs)
 }
 
 func (s *Server) handleVersion(w http.ResponseWriter, _ *http.Request) {
@@ -247,7 +225,7 @@ func (s *Server) writeJSON(w http.ResponseWriter, v any) {
 
 // DrainAndShutdown marks the server not-ready and keeps serving until a
 // metrics scrape arrives during the drain (followed by settle of request
-// quiet, so trailing /progress or /runs reads complete) or linger expires,
+// quiet, so trailing /progress or /traces reads complete) or linger expires,
 // then shuts down gracefully. A linger <= 0 shuts down immediately.
 func (s *Server) DrainAndShutdown(linger, settle time.Duration) error {
 	s.draining.Store(true)

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -14,7 +13,6 @@ import (
 
 	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
-	"spacx/internal/obs/ledger"
 )
 
 func get(t *testing.T, h http.Handler, path string) *httptest.ResponseRecorder {
@@ -129,42 +127,6 @@ func TestProgressEndpointNilProgress(t *testing.T) {
 	var st engine.Status
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil || st.Total != 0 {
 		t.Errorf("nil progress must serve the zero status, got %+v err=%v", st, err)
-	}
-}
-
-func TestRunsEndpointNewestFirst(t *testing.T) {
-	runs := func() ([]ledger.Record, error) {
-		return []ledger.Record{
-			{Schema: 1, Cmd: "spacx-report", Jobs: 1},
-			{Schema: 1, Cmd: "spacx-report", Jobs: 2},
-		}, nil
-	}
-	h := testServer(t, Options{Runs: runs}).Handler()
-
-	w := get(t, h, "/runs")
-	if w.Code != http.StatusOK {
-		t.Fatalf("/runs = %d", w.Code)
-	}
-	var recs []ledger.Record
-	if err := json.Unmarshal(w.Body.Bytes(), &recs); err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[0].Jobs != 2 || recs[1].Jobs != 1 {
-		t.Errorf("/runs must be newest first, got %+v", recs)
-	}
-}
-
-func TestRunsEndpointEmptyAndError(t *testing.T) {
-	h := testServer(t, Options{}).Handler()
-	if w := get(t, h, "/runs"); w.Code != http.StatusOK || !strings.HasPrefix(strings.TrimSpace(w.Body.String()), "[") {
-		t.Errorf("/runs with no loader must serve an empty array, got %d %q", w.Code, w.Body.String())
-	}
-
-	failing := testServer(t, Options{Runs: func() ([]ledger.Record, error) {
-		return nil, errors.New("ledger corrupt")
-	}}).Handler()
-	if w := get(t, failing, "/runs"); w.Code != http.StatusInternalServerError {
-		t.Errorf("/runs with failing loader = %d, want 500", w.Code)
 	}
 }
 

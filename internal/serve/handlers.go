@@ -21,11 +21,11 @@ const maxRequestBody = 1 << 20
 // server's mux (server.Options.Mount) so the API shares /metrics, /readyz,
 // and the drain lifecycle.
 func (s *Service) Routes(mux *http.ServeMux) {
-	mux.HandleFunc("/v1/simulate", s.instrument("simulate", s.handleSimulate))
-	mux.HandleFunc("/v1/sweep", s.instrument("sweep", s.handleSweep))
-	mux.HandleFunc("/v1/thermal", s.instrument("thermal", s.handleThermal))
-	mux.HandleFunc("/v1/models", s.instrument("models", s.handleModels))
-	mux.HandleFunc("/v1/accelerators", s.instrument("accelerators", s.handleAccelerators))
+	mux.HandleFunc("/v1/simulate", s.Instrument("simulate", s.handleSimulate))
+	mux.HandleFunc("/v1/sweep", s.Instrument("sweep", s.handleSweep))
+	mux.HandleFunc("/v1/thermal", s.Instrument("thermal", s.handleThermal))
+	mux.HandleFunc("/v1/models", s.Instrument("models", s.handleModels))
+	mux.HandleFunc("/v1/accelerators", s.Instrument("accelerators", s.handleAccelerators))
 }
 
 // statusWriter records the final status code for the request metrics.
@@ -67,10 +67,6 @@ func (s *Service) Instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 		s.rec.Count("spacx_serve_requests_total", 1, lbl,
 			obs.Label{Key: "code", Value: strconv.Itoa(sw.code)})
 	}
-}
-
-func (s *Service) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
-	return s.Instrument(endpoint, h)
 }
 
 // writeJSON writes v as an indented JSON body with the given status.

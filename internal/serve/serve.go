@@ -35,6 +35,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"sync"
 	"time"
 
 	"spacx/internal/exp/engine"
@@ -129,7 +130,9 @@ type Service struct {
 	ctx      context.Context
 	quit     chan struct{}
 	done     chan struct{}
-	draining chan struct{} // closed by Close before quit
+	draining chan struct{} // closed by Close before quit, under admitMu
+	// admitMu orders a leader's admission against Close: see admit.
+	admitMu sync.Mutex
 }
 
 // job is one admitted query travelling from the handler to the scheduler.
@@ -171,7 +174,9 @@ func (s *Service) Start(ctx context.Context) {
 // completion, and returns once the scheduler has exited. Safe to call once,
 // after Start.
 func (s *Service) Close() {
+	s.admitMu.Lock()
 	close(s.draining)
+	s.admitMu.Unlock()
 	close(s.quit)
 	<-s.done
 }
@@ -199,27 +204,13 @@ func (s *Service) resolve(ctx context.Context, q query) (body []byte, src string
 	}
 	if leader {
 		s.rec.Count("spacx_serve_cache_misses_total", 1)
-		if s.Draining() {
-			s.cache.complete(q.key, f, nil, errDraining)
-			return nil, "", errDraining
+		if err := s.admit(ctx, q, f); err != nil {
+			// The flight is failed so any coalesced waiters that joined in
+			// the meantime are released with the same answer.
+			s.cache.complete(q.key, f, nil, err)
+			return nil, "", err
 		}
-		// The queue-wait span is ended by whichever scheduler goroutine
-		// picks the job up (or fails it), attributing admission latency to
-		// this request's trace even though another goroutine measures it.
-		jctx, qsp := tracing.StartSpan(ctx, "queue:wait")
-		j := &job{q: q, f: f, ctx: jctx, qspan: qsp}
-		select {
-		case s.queue <- j:
-			s.rec.Gauge("spacx_serve_queue_depth", float64(len(s.queue)))
-		default:
-			// Bounded backpressure: reject now rather than queue without
-			// limit. The flight is failed so any coalesced waiters that
-			// joined in the meantime are released with the same answer.
-			qsp.End()
-			s.cache.complete(q.key, f, nil, errQueueFull)
-			s.rec.Count("spacx_serve_queue_rejected_total", 1)
-			return nil, "", errQueueFull
-		}
+		s.rec.Gauge("spacx_serve_queue_depth", float64(len(s.queue)))
 	} else {
 		s.rec.Count("spacx_serve_coalesced_total", 1)
 	}
@@ -242,6 +233,32 @@ func (s *Service) resolve(ctx context.Context, q query) (body []byte, src string
 		// The client went away; the computation continues for any other
 		// waiter and still lands in the cache.
 		return nil, "", ctx.Err()
+	}
+}
+
+// admit queues a leader's job without blocking: errDraining once Close has
+// begun, errQueueFull when the queue is full (bounded backpressure: reject
+// now rather than queue without limit). admitMu spans the Draining check
+// and the send, and Close holds it around close(draining), so a job that
+// passes the check is in the queue before the scheduler's final drain looks;
+// it can never land in a queue nobody reads.
+func (s *Service) admit(ctx context.Context, q query, f *flight) error {
+	s.admitMu.Lock()
+	defer s.admitMu.Unlock()
+	if s.Draining() {
+		return errDraining
+	}
+	// The queue-wait span is ended by whichever scheduler goroutine picks
+	// the job up (or fails it), attributing admission latency to this
+	// request's trace even though another goroutine measures it.
+	jctx, qsp := tracing.StartSpan(ctx, "queue:wait")
+	select {
+	case s.queue <- &job{q: q, f: f, ctx: jctx, qspan: qsp}:
+		return nil
+	default:
+		qsp.End()
+		s.rec.Count("spacx_serve_queue_rejected_total", 1)
+		return errQueueFull
 	}
 }
 

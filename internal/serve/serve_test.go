@@ -195,6 +195,66 @@ func TestCloseDrainsQueuedWorkThenRejects(t *testing.T) {
 	}
 }
 
+// TestCloseNeverStrandsAdmittedMiss is the drain-race regression test. Each
+// service fires distinct misses at once and then closes: a leader admitted
+// while Close runs must either reach a queue the scheduler still drains or
+// get errDraining, so every waiter returns and no flight outlives Close. One
+// service rarely hits the window, so the test loops over many.
+func TestCloseNeverStrandsAdmittedMiss(t *testing.T) {
+	const services, misses = 1500, 32
+	queries := make([]query, misses)
+	for i := range queries {
+		q, err := buildQuery(SimulateRequest{Model: "alexnet", Accel: "spacx", Mode: "whole", Batch: i + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[i] = q
+	}
+	for n := 0; n < services; n++ {
+		s := New(Options{Workers: 1, QueueDepth: misses})
+		s.Start(context.Background())
+		ctx, cancel := context.WithCancel(context.Background())
+		start := make(chan struct{})
+		errs := make(chan error, misses)
+		var wg sync.WaitGroup
+		for _, q := range queries {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				body, _, err := s.resolve(ctx, q)
+				if err == nil && body == nil {
+					err = errors.New("empty body")
+				}
+				if err != nil && !errors.Is(err, errDraining) && !errors.Is(err, errQueueFull) {
+					errs <- err
+				}
+			}()
+		}
+		close(start)
+		s.Close()
+		done := make(chan struct{})
+		go func() { wg.Wait(); close(done) }()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			cancel() // release the stranded waiters so they can be reported
+			<-done
+		}
+		cancel()
+		close(errs)
+		for err := range errs {
+			t.Fatalf("service %d: a waiter got %v, want a body, errDraining or errQueueFull", n, err)
+		}
+		s.cache.mu.Lock()
+		left := len(s.cache.flights)
+		s.cache.mu.Unlock()
+		if left != 0 {
+			t.Fatalf("service %d: %d flights left after Close", n, left)
+		}
+	}
+}
+
 func TestHardCancelFailsWaiters(t *testing.T) {
 	s := New(Options{})
 	ctx, cancel := context.WithCancel(context.Background())

@@ -3,6 +3,7 @@
 package spacx_test
 
 import (
+	"strings"
 	"testing"
 
 	"spacx"
@@ -73,17 +74,36 @@ func TestPublicCustomAccelerator(t *testing.T) {
 }
 
 func TestPublicPowerSurface(t *testing.T) {
-	pts, err := spacx.PowerSurface(16, 16, spacx.ModerateParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) == 0 {
-		t.Fatal("empty surface")
-	}
-	for _, p := range pts {
-		if p.OverallW() <= 0 {
-			t.Errorf("bad point %+v", p)
-		}
+	for _, tc := range []struct {
+		name    string
+		m, n    int
+		wantErr string // empty for a valid machine
+	}{
+		{name: "16x16", m: 16, n: 16},
+		{name: "zero chiplets", m: 0, n: 32, wantErr: "positive M, N"},
+		{name: "negative PEs", m: 32, n: -1, wantErr: "positive M, N"},
+		{name: "past the WDM bound", m: 64, n: 64, wantErr: "65 wavelengths exceed the 64 WDM bound"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pts, err := spacx.PowerSurface(tc.m, tc.n, spacx.ModerateParams())
+			if tc.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Fatalf("PowerSurface(%d, %d) error = %v, want %q", tc.m, tc.n, err, tc.wantErr)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(pts) == 0 {
+				t.Fatal("empty surface")
+			}
+			for _, p := range pts {
+				if p.OverallW() <= 0 {
+					t.Errorf("bad point %+v", p)
+				}
+			}
+		})
 	}
 }
 
