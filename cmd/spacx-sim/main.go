@@ -173,11 +173,12 @@ func run(o options) error {
 	// the collected metrics still flush below.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-	runner := func(a sim.Accelerator, l dnn.Layer, md sim.Mode) (sim.LayerResult, error) {
+	observed := sim.ObservedRunner(rec)
+	runner := func(a sim.Accelerator, l dnn.Layer, md sim.Mode, lr *sim.LayerResult) error {
 		if err := ctx.Err(); err != nil {
-			return sim.LayerResult{}, err
+			return err
 		}
-		return sim.RunLayerObserved(a, l, md, rec)
+		return observed(a, l, md, lr)
 	}
 	log := rec.Logger()
 	log.Debug("sim: run start", "model", m.Name, "accel", acc.Name(), "mode", mode.String(),

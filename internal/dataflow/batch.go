@@ -15,7 +15,8 @@ type FlowCost struct {
 
 	// Times[i] is flows[i]'s isolated transfer time. Like the flow slice
 	// itself it is carved from a pooled slab and permanently owned by the
-	// caller (sim.LayerResults retain it as FlowSecs).
+	// caller (a sim.LayerResult holds it as FlowSecs for as long as the
+	// result is kept).
 	Times []float64
 }
 

@@ -6,16 +6,19 @@ import (
 	"spacx/internal/network"
 )
 
-// Profiles — and the sim.LayerResults built from them — may be retained
-// indefinitely by their callers, so a mapper's per-layer flow slice can
-// never be recycled. It can, however, be batched: newFlows
-// carves each 3-4 element slice out of a pooled slab block, turning one
-// small garbage-collected allocation per Map call into one block allocation
-// per ~hundred calls. Carved memory is permanently owned by its Profile;
-// the slab only ever advances, it never reuses what it handed out.
+// Profiles — and the sim.LayerResults built from them, such as the ones
+// sim.Request.Run keeps per layer — may be retained indefinitely by their
+// callers, so a mapper's per-layer flow slice can never be recycled. It
+// can, however, be batched: newFlows carves each 3-4 element slice out of a
+// pooled slab block, turning one small garbage-collected allocation per Map
+// call into one block allocation per ~hundred calls. Carved memory is
+// permanently owned by its Profile; the slab only ever advances, it never
+// reuses what it handed out. A caller that drops the Profile (the one
+// reused slot of sim.Request.Totals) leaves its carving as garbage, and a
+// block is collected once none of its carvings is referenced.
 //
 // newFloats is the same scheme for the per-flow transfer-time slices that
-// MeasureFlows carves (sim.LayerResult.FlowSecs retains them): amortized,
+// MeasureFlows carves (sim.LayerResult.FlowSecs holds them): amortized,
 // the two slabs are the entire steady-state byte cost of a layer evaluation
 // — the ~216 B/op that benchmarks report against 0 allocs/op.
 

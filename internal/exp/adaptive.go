@@ -66,13 +66,13 @@ func AdaptiveGranularity() ([]AdaptiveRow, error) {
 	}
 	outcomes, err := mapPoints("adaptive", len(tasks), func(i int) (layerOutcome, error) {
 		l := tasks[i].layer
-		fr, err := runLayerCached(fixed, l, sim.WholeInference)
+		fr, err := layerCached(fixed, l, sim.WholeInference)
 		if err != nil {
 			return layerOutcome{}, err
 		}
 		o := layerOutcome{fixedSec: fr.ExecSec, best: -1}
 		for ci, acc := range accs {
-			r, err := runLayerCached(acc, l, sim.WholeInference)
+			r, err := layerCached(acc, l, sim.WholeInference)
 			if err != nil {
 				return layerOutcome{}, err
 			}

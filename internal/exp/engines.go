@@ -36,11 +36,11 @@ func EngineAgreement() ([]EngineRow, error) {
 	type pair struct{ a, d float64 }
 	pairs, err := mapPoints("engines", len(tasks), func(i int) (pair, error) {
 		l := tasks[i].layer
-		a, err := runLayerCached(acc, l, sim.WholeInference)
+		a, err := layerCached(acc, l, sim.WholeInference)
 		if err != nil {
 			return pair{}, err
 		}
-		d, err := runLayerDetailedCached(acc, l, sim.WholeInference)
+		d, err := detailedCached(acc, l, sim.WholeInference)
 		if err != nil {
 			return pair{}, err
 		}

@@ -52,7 +52,7 @@ func loadFor(acc sim.Accelerator, m dnn.Model) (fig16Load, error) {
 	out.broadcast = caps.CrossChipletBroadcast || caps.SingleChipletBroadcast
 	var injected, received int64
 	for _, l := range m.Layers {
-		r, err := runLayerCached(acc, l, sim.WholeInference)
+		r, err := layerCached(acc, l, sim.WholeInference)
 		if err != nil {
 			return fig16Load{}, err
 		}

@@ -24,7 +24,7 @@ type Fig22Row struct {
 // Fig22 sweeps the chiplet count and PE count as in the paper: M in
 // {16, 32, 64} with N=32, and N in {16, 32, 64} with M=32. The fifteen
 // (size, accelerator) points run across the worker pool, unmemoized and
-// through sim.RunLayerObserved, so an installed recorder sees every layer's
+// through sim.ObservedRunner, so an installed recorder sees every layer's
 // spacx_sim_* series (the obs registry is mutex-guarded, and per-point
 // timers are started and stopped on the same goroutine).
 func Fig22() ([]Fig22Row, error) {
@@ -59,12 +59,10 @@ func Fig22() ([]Fig22Row, error) {
 			tasks = append(tasks, task{m, n, acc})
 		}
 	}
-	observed := func(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
-		return sim.RunLayerObserved(acc, l, mode, recorder)
-	}
+	observed := sim.ObservedRunner(recorder)
 	return mapPoints("fig22", len(tasks), func(i int) (Fig22Row, error) {
 		t := tasks[i]
-		r, err := sim.Request{Accel: t.acc, Model: res, Mode: sim.WholeInference}.Run(observed)
+		r, err := sim.Request{Accel: t.acc, Model: res, Mode: sim.WholeInference}.Totals(observed)
 		if err != nil {
 			return Fig22Row{}, err
 		}

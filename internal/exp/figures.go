@@ -40,11 +40,11 @@ func Fig13And14() ([]LayerRow, error) {
 	for _, m := range []dnn.Model{dnn.ResNet50(), dnn.VGG16()} {
 		layers = append(layers, m.Layers...)
 	}
-	results, err := mapPoints("fig13", len(layers)*len(accs), func(i int) (sim.LayerResult, error) {
+	results, err := mapPoints("fig13", len(layers)*len(accs), func(i int) (sim.LayerOutcome, error) {
 		l, acc := layers[i/len(accs)], accs[i%len(accs)]
-		r, err := runLayerCached(acc, l, sim.LayerByLayer)
+		r, err := layerCached(acc, l, sim.LayerByLayer)
 		if err != nil {
-			return sim.LayerResult{}, fmt.Errorf("exp: fig13 %s on %s: %w", l.Name, acc.Name(), err)
+			return sim.LayerOutcome{}, fmt.Errorf("exp: fig13 %s on %s: %w", l.Name, acc.Name(), err)
 		}
 		return r, nil
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"runtime"
 
-	"spacx/internal/dataflow"
 	"spacx/internal/dnn"
 	"spacx/internal/exp/engine"
 	"spacx/internal/network"
@@ -66,14 +65,15 @@ func keyFor(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (layerKey, bool) {
 // figure grids revisit the same (accelerator, layer, mode) points many times
 // (Fig 13 and Fig 15 share models, the adaptive study re-runs every layer on
 // 16 granularities, Fig 16's load derivation replays whole models). Results
-// are deterministic, so sharing them is invisible in the output. Cached
-// LayerResults carry no mapping (see runLayerCached) and are shared
-// shallowly — drivers must not mutate them.
-var layerCache engine.Cache[layerKey, sim.LayerResult]
+// are deterministic, so sharing them is invisible in the output. An entry
+// holds only the layer's scalar outcome (sim.LayerOutcome), never its
+// mapping: no driver reads the mapping, so the memo's heap stays at the
+// scalars.
+var layerCache engine.Cache[layerKey, sim.LayerOutcome]
 
-// detailedCache memoizes epoch-pipelined detailed-engine evaluations, which
+// detailedCache memoizes epoch-pipelined detailed-engine outcomes, which
 // EngineAgreement pairs with the analytical ones.
-var detailedCache engine.Cache[layerKey, sim.LayerResult]
+var detailedCache engine.Cache[layerKey, sim.LayerOutcome]
 
 // ResetCaches drops all memoized layer and packet-simulation evaluations.
 // Tests use it to time cold sweeps and to prove parallel == sequential from
@@ -87,39 +87,49 @@ func ResetCaches() {
 // CacheSize reports how many layer evaluations are currently memoized.
 func CacheSize() int { return layerCache.Len() + detailedCache.Len() }
 
-// runLayerCached is the memoized sim.RunLayer every driver evaluates its
-// layers through. The memo keeps each result without its mapping (Profile,
-// FlowSecs): no driver reads those fields, and dropping them keeps the
-// memo's heap to the scalar results. Accelerators whose network model has
-// no fingerprint are evaluated directly (never cached).
-func runLayerCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
-	k, ok := keyFor(acc, l, mode)
-	if !ok {
-		return sim.RunLayer(acc, l, mode)
-	}
-	return layerCache.Do(k, func() (sim.LayerResult, error) {
-		r, err := sim.RunLayer(acc, l, mode)
-		r.Profile, r.FlowSecs = dataflow.Profile{}, nil
-		return r, err
-	})
+// layerCached is the memoized scalar outcome of sim.RunLayer, the one way
+// every driver evaluates a layer. Accelerators whose network model has no
+// fingerprint are evaluated directly (never cached).
+func layerCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerOutcome, error) {
+	return memoized(&layerCache, sim.RunLayer, acc, l, mode)
 }
 
-// runLayerDetailedCached is the memoized sim.RunLayerDetailed.
-func runLayerDetailedCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerResult, error) {
-	k, ok := keyFor(acc, l, mode)
-	if !ok {
-		return sim.RunLayerDetailed(acc, l, mode)
-	}
-	return detailedCache.Do(k, func() (sim.LayerResult, error) {
-		return sim.RunLayerDetailed(acc, l, mode)
-	})
+// detailedCached is the memoized scalar outcome of sim.RunLayerDetailed.
+func detailedCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerOutcome, error) {
+	return memoized(&detailedCache, sim.RunLayerDetailed, acc, l, mode)
 }
 
-// runModelCached is sim.Run with every layer evaluation memoized; the
-// aggregation goes through sim.Request.Run, so results are bit-identical to
-// sim.Run apart from the mapping runLayerCached drops.
+func memoized(c *engine.Cache[layerKey, sim.LayerOutcome],
+	run func(sim.Accelerator, dnn.Layer, sim.Mode) (sim.LayerResult, error),
+	acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerOutcome, error) {
+	eval := func() (sim.LayerOutcome, error) {
+		r, err := run(acc, l, mode)
+		return r.LayerOutcome, err
+	}
+	k, ok := keyFor(acc, l, mode)
+	if !ok {
+		return eval()
+	}
+	return c.Do(k, eval)
+}
+
+// runLayerCached is the memoized sim.LayerRunner the model drivers
+// aggregate through: it rebuilds r from the key's layer and the cached
+// scalars, so r carries no mapping (Profile and FlowSecs are zero).
+func runLayerCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode, r *sim.LayerResult) error {
+	o, err := layerCached(acc, l, mode)
+	if err != nil {
+		return err
+	}
+	*r = sim.LayerResult{Layer: l, LayerOutcome: o}
+	return nil
+}
+
+// runModelCached is sim.Run's totals with every layer evaluation memoized:
+// the aggregation goes through sim.Request.Totals, so every total is
+// bit-identical to sim.Run's, and the result keeps no per-layer slice.
 func runModelCached(acc sim.Accelerator, m dnn.Model, mode sim.Mode) (sim.ModelResult, error) {
-	return sim.Request{Accel: acc, Model: m, Mode: mode}.Run(runLayerCached)
+	return sim.Request{Accel: acc, Model: m, Mode: mode}.Totals(runLayerCached)
 }
 
 // runGrid evaluates every (model, accelerator) pair of a sweep across the

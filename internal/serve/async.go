@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 	"time"
 
 	"spacx/internal/exp/engine"
@@ -101,18 +102,62 @@ func (r *SweepRun) resolveInto(ctx context.Context, i int) error {
 }
 
 // encodeResult renders the terminal sweep artifact and its failed count.
+// The body is byte-identical to a json.Encoder with SetIndent("", "  ")
+// encoding SweepResponse{Points: r.points}, but written in one pass: the
+// fixed fields are written directly, and each point's cached body is
+// indented into place at the point's depth instead of being compacted and
+// re-indented with the whole document. That needs no compaction because a
+// cached body is json.Marshal output: compact and already HTML-escaped.
 func (r *SweepRun) encodeResult() ([]byte, int, error) {
 	failed := 0
+	var b bytes.Buffer
+	b.WriteString("{\n  \"points\": [")
 	for i := range r.points {
-		if r.points[i].Error != "" {
+		p := &r.points[i]
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString("\n    {\n      \"model\": ")
+		writeJSONString(&b, p.Model)
+		b.WriteString(",\n      \"accel\": ")
+		writeJSONString(&b, p.Accel)
+		b.WriteString(",\n      \"mode\": ")
+		writeJSONString(&b, p.Mode)
+		b.WriteString(",\n      \"batch\": ")
+		b.WriteString(strconv.Itoa(p.Batch))
+		if len(p.Result) > 0 {
+			b.WriteString(",\n      \"result\": ")
+			if err := json.Indent(&b, bytes.TrimRight(p.Result, " \t\r\n"), "      ", "  "); err != nil {
+				return nil, 0, fmt.Errorf("serve: encode sweep result: %w", err)
+			}
+		}
+		if p.Error != "" {
 			failed++
+			b.WriteString(",\n      \"error\": ")
+			writeJSONString(&b, p.Error)
+		}
+		b.WriteString("\n    }")
+	}
+	if len(r.points) > 0 {
+		b.WriteString("\n  ")
+	}
+	b.WriteString("]\n}\n")
+	return b.Bytes(), failed, nil
+}
+
+// writeJSONString writes s as encoding/json writes a string: quoted, with
+// HTML-sensitive characters escaped. Plain printable ASCII, such as every
+// catalog name, is written as it is, which spares the sweep body about 1 400
+// small allocations per 240 points.
+func writeJSONString(b *bytes.Buffer, s string) {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			b.Write(q)
+			return
 		}
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(SweepResponse{Points: r.points}); err != nil {
-		return nil, 0, fmt.Errorf("serve: encode sweep result: %w", err)
-	}
-	return buf.Bytes(), failed, nil
+	b.WriteByte('"')
+	b.WriteString(s)
+	b.WriteByte('"')
 }

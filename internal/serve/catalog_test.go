@@ -27,7 +27,9 @@ type tableTest[G any, W any] struct {
 }
 
 // directBody answers req the way no cache can: a sim.Request.Run on a
-// freshly built model and accelerator, encoded as the service encodes it.
+// freshly built model and accelerator, encoded the way the benchmark's
+// reference encodes it — the layer count and the DRAM bytes come from the
+// per-layer results, not from the totals the service encodes.
 func directBody(t *testing.T, req SimulateRequest) []byte {
 	t.Helper()
 	me, _ := modelByName(req.Model)
@@ -38,12 +40,27 @@ func directBody(t *testing.T, req SimulateRequest) []byte {
 	if err != nil {
 		t.Fatalf("direct run of %+v: %v", req, err)
 	}
-	loss, hasLoss := ae.lossDB()
-	body, err := encodeSimulateResponse(query{wire: req, lossDB: loss, hasLoss: hasLoss}, res)
+	resp := SimulateResponse{
+		Model: req.Model, Accel: req.Accel, Mode: req.Mode, Batch: req.Batch,
+		Layers:         len(res.Layers),
+		ExecSec:        res.ExecSec,
+		ComputeSec:     res.ComputeSec,
+		CommSec:        res.CommSec,
+		TotalEnergyJ:   res.TotalEnergy,
+		ComputeEnergyJ: res.ComputeEnergy,
+		NetworkEnergyJ: res.NetworkEnergy,
+	}
+	for _, lr := range res.Layers {
+		resp.DRAMBytes += lr.DRAMBytes * int64(lr.Layer.Repeat)
+	}
+	if loss, ok := ae.lossDB(); ok {
+		resp.WorstCaseLossDB = &loss
+	}
+	body, err := json.Marshal(resp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return body
+	return append(body, '\n')
 }
 
 // TestServedBodiesMatchDirectRun checks every catalog model × accelerator ×
@@ -60,9 +77,13 @@ func TestServedBodiesMatchDirectRun(t *testing.T) {
 			for _, mode := range []string{"whole", "layer"} {
 				for _, batch := range []int{1, 2 + rng.Intn(255)} {
 					req := SimulateRequest{Model: me.Name, Accel: ae.Name, Mode: mode, Batch: batch}
+					body, err := json.Marshal(req)
+					if err != nil {
+						t.Fatal(err)
+					}
 					rows = append(rows, tableTest[string, []byte]{
 						Name: fmt.Sprintf("%s/%s/%s/b%d", me.Name, ae.Name, mode, batch),
-						Got:  string(mustJSON(req)),
+						Got:  string(body),
 						Want: directBody(t, req),
 					})
 				}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
 
@@ -226,7 +227,16 @@ func (s *Service) expandSweep(req *SweepRequest) ([]query, []SweepPoint, error) 
 	if len(req.Batches) == 0 {
 		req.Batches = []int{1}
 	}
-	n := len(req.Models) * len(req.Accels) * len(req.Modes) * len(req.Batches)
+	// The axis product can overflow an int (a 1 MiB body holds axes of
+	// 2^17 entries), so it is bounded axis by axis before anything is
+	// allocated.
+	n := 1
+	for _, axis := range []int{len(req.Models), len(req.Accels), len(req.Modes), len(req.Batches)} {
+		if n > math.MaxInt/axis {
+			return nil, nil, fmt.Errorf("sweep grid has more than %d points, cap is %d", math.MaxInt, s.opts.MaxSweepPoints)
+		}
+		n *= axis
+	}
 	if n > s.opts.MaxSweepPoints {
 		return nil, nil, fmt.Errorf("sweep grid has %d points, cap is %d", n, s.opts.MaxSweepPoints)
 	}
@@ -236,10 +246,10 @@ func (s *Service) expandSweep(req *SweepRequest) ([]query, []SweepPoint, error) 
 		for _, accel := range req.Accels {
 			for _, mode := range req.Modes {
 				for _, batch := range req.Batches {
-					sr, err := decodeSimulateRequest(mustJSON(SimulateRequest{
+					sr, err := checkSimulateRequest(SimulateRequest{
 						Model: model, Accel: accel, Mode: mode, Batch: batch,
 						LossBudgetDB: req.LossBudgetDB,
-					}), s.opts.MaxRequestBatch)
+					}, s.opts.MaxRequestBatch)
 					if err != nil {
 						return nil, nil, fmt.Errorf("point (%s, %s, %s, %d): %w",
 							model, accel, mode, batch, err)
@@ -258,16 +268,6 @@ func (s *Service) expandSweep(req *SweepRequest) ([]query, []SweepPoint, error) 
 		}
 	}
 	return queries, points, nil
-}
-
-// mustJSON re-encodes a request struct for the shared decoder's validation
-// path; the struct is always encodable.
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }
 
 // ModelInfo is one /v1/models entry.

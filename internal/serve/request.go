@@ -62,8 +62,7 @@ type errorResponse struct {
 
 // modelEntry is one catalog model. model builds it once, on first use, and
 // every request shares that value read-only: network models are frozen at
-// construction and sim.Request copies the layer slice before applying a
-// batch.
+// construction and sim.Request applies a batch to a copy of each layer.
 type modelEntry struct {
 	Name      string // request alias
 	Canonical string // paper name
@@ -187,6 +186,17 @@ func decodeSimulateRequest(data []byte, maxBatch int) (SimulateRequest, error) {
 	if dec.More() {
 		return SimulateRequest{}, fmt.Errorf("trailing data after request object")
 	}
+	req.Batch = 1
+	if wire.Batch != nil {
+		req.Batch = *wire.Batch
+	}
+	return checkSimulateRequest(req, maxBatch)
+}
+
+// checkSimulateRequest validates a decoded request against the catalogs
+// and the accepted ranges, and normalizes an empty mode to "whole". A sweep
+// validates each grid point through it directly (see FuzzSweepPoint).
+func checkSimulateRequest(req SimulateRequest, maxBatch int) (SimulateRequest, error) {
 	if req.Model == "" {
 		return SimulateRequest{}, fmt.Errorf("missing required field %q", "model")
 	}
@@ -205,10 +215,6 @@ func decodeSimulateRequest(data []byte, maxBatch int) (SimulateRequest, error) {
 	case "whole", "layer":
 	default:
 		return SimulateRequest{}, fmt.Errorf("unknown mode %q (whole, layer)", req.Mode)
-	}
-	req.Batch = 1
-	if wire.Batch != nil {
-		req.Batch = *wire.Batch
 	}
 	if req.Batch < 1 || req.Batch > maxBatch {
 		return SimulateRequest{}, fmt.Errorf("batch must be in [1, %d], got %d", maxBatch, req.Batch)
@@ -281,7 +287,8 @@ func (q query) checkLossBudget() error {
 }
 
 // encodeSimulateResponse renders the deterministic response body for one
-// completed simulation.
+// completed simulation. It reads only the model totals, so res may come
+// from sim.Request.Totals; the layer count is the query model's.
 func encodeSimulateResponse(q query, res sim.ModelResult) ([]byte, error) {
 	resp := SimulateResponse{
 		Model: q.wire.Model,
@@ -289,7 +296,8 @@ func encodeSimulateResponse(q query, res sim.ModelResult) ([]byte, error) {
 		Mode:  q.wire.Mode,
 		Batch: q.wire.Batch,
 
-		Layers:     len(res.Layers),
+		Layers:     len(q.req.Model.Layers),
+		DRAMBytes:  res.DRAMBytes,
 		ExecSec:    res.ExecSec,
 		ComputeSec: res.ComputeSec,
 		CommSec:    res.CommSec,
@@ -297,10 +305,6 @@ func encodeSimulateResponse(q query, res sim.ModelResult) ([]byte, error) {
 		TotalEnergyJ:   res.TotalEnergy,
 		ComputeEnergyJ: res.ComputeEnergy,
 		NetworkEnergyJ: res.NetworkEnergy,
-	}
-	for i := range res.Layers {
-		lr := &res.Layers[i] // by pointer: a LayerResult is large
-		resp.DRAMBytes += lr.DRAMBytes * int64(lr.Layer.Repeat)
 	}
 	if q.hasLoss {
 		loss := q.lossDB

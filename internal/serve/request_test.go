@@ -2,8 +2,12 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"unicode/utf8"
 )
 
 func TestDecodeSimulateRequestNormalizes(t *testing.T) {
@@ -156,6 +160,38 @@ func FuzzSimulateRequest(f *testing.F) {
 		}
 		if err := q.req.Validate(); err != nil {
 			t.Fatalf("accepted request fails sim validation: %v", err)
+		}
+	})
+}
+
+// FuzzSweepPoint pins the sweep's direct point check to the /v1/simulate
+// decoder it replaced: for any model, accelerator, mode, batch and finite
+// loss budget, with strings of valid UTF-8 (all a decoded SweepRequest can
+// hold), checkSimulateRequest returns the same request and the same error
+// text as decodeSimulateRequest of the JSON-encoded request.
+func FuzzSweepPoint(f *testing.F) {
+	f.Add("alexnet", "spacx", "", 1, 0.0)
+	f.Add("resnet50", "simba", "layer", 8, 3.5)
+	f.Add("vgg16", "popstar", "whole", 256, 1e-300)
+	f.Add("", "", "", 0, 0.0)
+	f.Add("lenet", "spacx", "fast", 257, -0.5)
+	f.Add("alexnet", "tpu<&>", "whole", -1, 2.0)
+	f.Add("alexnet", "spacx", "fast ", 1<<40, -1e308)
+	f.Fuzz(func(t *testing.T, model, accel, mode string, batch int, loss float64) {
+		if !utf8.ValidString(model) || !utf8.ValidString(accel) || !utf8.ValidString(mode) ||
+			math.IsNaN(loss) || math.IsInf(loss, 0) {
+			t.Skip()
+		}
+		req := SimulateRequest{Model: model, Accel: accel, Mode: mode, Batch: batch, LossBudgetDB: loss}
+		data, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantErr := decodeSimulateRequest(data, 256)
+		got, gotErr := checkSimulateRequest(req, 256)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			t.Fatalf("check of %+v = (%+v, %v), decode of %s = (%+v, %v)",
+				req, got, gotErr, data, want, wantErr)
 		}
 	})
 }

@@ -20,9 +20,10 @@
 //     engine's worker pool.
 //
 // The response LRU (with its singleflight table) is the service's one
-// cache: a miss runs plain sim.RunLayer for every layer. The model and
-// accelerator catalogs are built once per entry, on first use, and shared
-// read-only by every request.
+// cache: a miss folds the plain scalar kernel's result for every layer into
+// the model totals (sim.Request.Totals), keeping no per-layer results. The
+// model and accelerator catalogs are built once per entry, on first use,
+// and shared read-only by every request.
 //
 // Lifecycle: Start launches the scheduler under a context; Close stops
 // admission, drains every queued job, and returns once the scheduler has
@@ -359,7 +360,7 @@ func (s *Service) finish(j *job, body []byte, err error) {
 func (s *Service) execute(ctx context.Context, q query) ([]byte, error) {
 	stop := s.rec.Time("spacx_serve_sim_seconds")
 	_, sp := tracing.StartSpan(ctx, "sim:model")
-	res, err := q.req.Run(nil)
+	res, err := q.req.Totals(nil)
 	sp.End()
 	stop()
 	s.rec.Count("spacx_serve_engine_runs_total", 1)

@@ -490,25 +490,173 @@ func TestSyncSweepAnswersEveryPoint(t *testing.T) {
 	}
 }
 
+// overflowingSweep is a sweep body under the 1 MiB body limit whose grid
+// has 2^64 points — 2^17 models and accels, 2^15 modes and batches — so the
+// int product of its axis lengths wraps to 0. Its first model and
+// accelerator are valid and its modes are empty (answered as "whole"), so
+// a point-by-point expansion would only reach an invalid point after 2^30
+// valid ones.
+func overflowingSweep() string {
+	var b strings.Builder
+	axis := func(key, first, rest string, n int) {
+		fmt.Fprintf(&b, "%q: [%s", key, first)
+		for i := 1; i < n; i++ {
+			b.WriteString(",")
+			b.WriteString(rest)
+		}
+		b.WriteString("]")
+	}
+	b.WriteString("{")
+	axis("models", `"alexnet"`, `""`, 1<<17)
+	b.WriteString(", ")
+	axis("accels", `"spacx"`, `""`, 1<<17)
+	b.WriteString(", ")
+	axis("modes", `""`, `""`, 1<<15)
+	b.WriteString(", ")
+	axis("batches", "1", "1", 1<<15)
+	b.WriteString("}")
+	return b.String()
+}
+
+// within runs f and fails when it does not return within d. A call still
+// running then may be expanding an unbounded grid, so it aborts the whole
+// test binary rather than let the expansion exhaust memory under the tests
+// that follow.
+func within(t *testing.T, d time.Duration, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		panic(fmt.Sprintf("%s did not return within %v", t.Name(), d))
+	}
+}
+
 func TestSweepValidation(t *testing.T) {
 	_, _, mux := newService(t, Options{MaxSweepPoints: 4})
 	cases := []struct {
 		name string
 		body string
+		err  string // the error body's message; "" means the sweep passes
 	}{
-		{"bad json", `{`},
-		{"empty axes", `{"models": [], "accels": ["spacx"]}`},
-		{"unknown model", `{"models": ["lenet"], "accels": ["spacx"]}`},
-		{"grid too large", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [1,2,3,4,5]}`},
-		{"unknown field", `{"models": ["alexnet"], "accels": ["spacx"], "grid": true}`},
-		{"trailing data", `{"models": ["alexnet"], "accels": ["spacx"]} {}`},
-		{"batch zero", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [0]}`},
+		{"bad json", `{`, "decode request: unexpected EOF"},
+		{"empty axes", `{"models": [], "accels": ["spacx"]}`, "models and accels must be non-empty"},
+		{"unknown model", `{"models": ["lenet"], "accels": ["spacx"]}`,
+			`point (lenet, spacx, whole, 1): unknown model "lenet" (see /v1/models)`},
+		{"unknown accel", `{"models": ["alexnet"], "accels": ["tpu"]}`,
+			`point (alexnet, tpu, whole, 1): unknown accelerator "tpu" (see /v1/accelerators)`},
+		{"unknown mode", `{"models": ["alexnet"], "accels": ["spacx"], "modes": ["fast"]}`,
+			`point (alexnet, spacx, fast, 1): unknown mode "fast" (whole, layer)`},
+		{"grid too large", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [1,2,3,4,5]}`,
+			"sweep grid has 5 points, cap is 4"},
+		{"overflowing grid", overflowingSweep(),
+			"sweep grid has more than 9223372036854775807 points, cap is 4"},
+		{"unknown field", `{"models": ["alexnet"], "accels": ["spacx"], "grid": true}`,
+			`decode request: json: unknown field "grid"`},
+		{"trailing data", `{"models": ["alexnet"], "accels": ["spacx"]} {}`,
+			"trailing data after request object"},
+		{"batch zero", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [0]}`,
+			"point (alexnet, spacx, whole, 0): batch must be in [1, 256], got 0"},
+		{"batch 257", `{"models": ["alexnet"], "accels": ["spacx"], "batches": [257]}`,
+			"point (alexnet, spacx, whole, 257): batch must be in [1, 256], got 257"},
+		{"negative loss budget", `{"models": ["alexnet"], "accels": ["spacx"], "loss_budget_db": -1.5}`,
+			"point (alexnet, spacx, whole, 1): loss_budget_db must be >= 0, got -1.5"},
+		{"empty mode is whole", `{"models": ["alexnet"], "accels": ["spacx"], "modes": [""]}`, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rr := doReq(mux, http.MethodPost, "/v1/sweep", tc.body)
+			var rr *httptest.ResponseRecorder
+			within(t, 10*time.Second, func() { rr = doReq(mux, http.MethodPost, "/v1/sweep", tc.body) })
+			if tc.err == "" {
+				var resp SweepResponse
+				if rr.Code != http.StatusOK {
+					t.Fatalf("status %d, want 200 (body %s)", rr.Code, rr.Body)
+				}
+				if err := json.Unmarshal(rr.Body.Bytes(), &resp); err != nil {
+					t.Fatal(err)
+				}
+				if len(resp.Points) != 1 || resp.Points[0].Mode != "whole" || resp.Points[0].Error != "" {
+					t.Fatalf("points = %+v, want one whole-mode point", resp.Points)
+				}
+				return
+			}
 			if rr.Code != http.StatusBadRequest {
 				t.Fatalf("status %d, want 400 (body %s)", rr.Code, rr.Body)
+			}
+			var e errorResponse
+			if err := json.Unmarshal(rr.Body.Bytes(), &e); err != nil || e.Error != tc.err {
+				t.Fatalf("error %q, want %q (%v)", e.Error, tc.err, err)
+			}
+		})
+	}
+}
+
+// TestPrepareSweepRejectsOverflowingGrid is the /v1/jobs path of the
+// overflowing grid: PrepareSweep must refuse it at the point cap before
+// expanding a single point.
+func TestPrepareSweepRejectsOverflowingGrid(t *testing.T) {
+	s, _, _ := newService(t, Options{MaxSweepPoints: 256})
+	body := []byte(overflowingSweep())
+	if len(body) > maxRequestBody {
+		t.Fatalf("body is %d bytes, over the %d-byte limit", len(body), maxRequestBody)
+	}
+	var err error
+	within(t, 10*time.Second, func() { _, err = s.PrepareSweep(body) })
+	const want = "sweep grid has more than 9223372036854775807 points, cap is 256"
+	if err == nil || err.Error() != want {
+		t.Fatalf("PrepareSweep error %v, want %q", err, want)
+	}
+}
+
+// TestSweepBodyMatchesIndentedEncoding pins the one-pass sweep writer to
+// what it replaces — json.Encoder with SetIndent("", "  ") on the
+// SweepResponse — on the 240-point grid, a one-point grid, and a grid with
+// error points, one of whose text needs escaping.
+func TestSweepBodyMatchesIndentedEncoding(t *testing.T) {
+	const grid240 = `{"models": ["resnet50", "vgg16", "densenet201", "efficientnetb7", "alexnet", "mobilenetv2"],
+		"accels": ["spacx", "spacx-noba", "simba", "popstar"], "modes": ["whole", "layer"], "batches": [1, 4, 8, 16, 32]}`
+	cases := []struct {
+		name, body string
+		failed     int
+	}{
+		{"240 points", grid240, 0},
+		{"one point", `{"models": ["alexnet"], "accels": ["spacx"]}`, 0},
+		// SPACX's worst-case loss is over a 0.5 dB budget; Simba has no
+		// loss figure and passes.
+		{"error points", `{"models": ["alexnet"], "accels": ["spacx", "simba"], "batches": [1, 2], "loss_budget_db": 0.5}`, 2},
+	}
+	s, _, _ := newService(t, Options{MaxSweepPoints: 256})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run, err := s.PrepareSweep([]byte(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, _, err := run.Run(context.Background(), nil); err != nil {
+				t.Fatal(err)
+			}
+			if tc.failed > 0 {
+				run.points[0].Error = `over <budget> & "escaped"` + "\t\u2028é"
+			}
+			got, failed, err := run.encodeResult()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want bytes.Buffer
+			enc := json.NewEncoder(&want)
+			enc.SetIndent("", "  ")
+			if err := enc.Encode(SweepResponse{Points: run.points}); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want.Bytes()) {
+				t.Fatalf("sweep body differs from the indented encoding:\n%s\nvs\n%s", got, want.Bytes())
+			}
+			if failed != tc.failed {
+				t.Fatalf("failed = %d, want %d", failed, tc.failed)
 			}
 		})
 	}

@@ -14,10 +14,12 @@ import (
 //	go test -bench BenchmarkRunLayer ./internal/sim
 //
 // The steady-state ~216 B/op against 0 allocs/op is slab carving, not a
-// leak in the accounting: each call permanently retains its flow slice
-// (~192 B) and FlowSecs (~24 B) out of pooled slabs (internal/dataflow), so
-// the bytes are real and amortized while the block allocation lands once
-// per ~hundred calls and rounds to zero. make bench-check guards both
+// leak in the accounting: each call carves its flow slice (~192 B) and
+// FlowSecs (~24 B) out of pooled slabs (internal/dataflow), so the bytes are
+// real and amortized while the block allocation lands once per ~hundred
+// calls and rounds to zero. A returned LayerResult retains its carving;
+// Request.Totals' one reused slot drops each layer's at the next layer, so
+// there it is garbage rather than retained. make bench-check guards both
 // numbers (B/op via the byte allowance in internal/bench).
 func BenchmarkRunLayerNop(b *testing.B) {
 	acc := SPACXAccel()
@@ -51,6 +53,20 @@ func BenchmarkRunModelNop(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Run(acc, m, WholeInference); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRequestTotals is a serve miss: ResNet-50 at batch 4 folded into
+// the model totals through one reused slot. BenchmarkRunModelNop keeps
+// every layer's result instead.
+func BenchmarkRequestTotals(b *testing.B) {
+	req := Request{Accel: SPACXAccel(), Model: dnn.ResNet50(), Mode: WholeInference, Batch: 4}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := req.Totals(nil); err != nil {
 			b.Fatal(err)
 		}
 	}

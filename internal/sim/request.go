@@ -4,14 +4,13 @@ import (
 	"fmt"
 
 	"spacx/internal/dnn"
-	"spacx/internal/network"
 )
 
 // Request bundles the parameters of one simulation query — accelerator,
-// model, residency mode, and batch size — and its Run method is the one
-// model aggregation every caller goes through. The batch multiplier is
-// applied to a copy of the model, so a Request never mutates the layer
-// definitions it was built from.
+// model, residency mode, and batch size. Its Run and Totals methods are the
+// one model aggregation every caller goes through. The batch multiplier is
+// applied to each layer as it is evaluated, so a Request never mutates the
+// layer definitions it was built from.
 type Request struct {
 	Accel Accelerator
 	Model dnn.Model
@@ -27,18 +26,13 @@ func (r Request) Validate() error {
 	return r.Model.Validate()
 }
 
-// batched returns the model with the batch multiplier applied to a copied
-// layer slice.
-func (r Request) batched() dnn.Model {
-	if r.Batch <= 1 {
-		return r.Model
+// layer returns the model's i-th layer with the batch multiplier applied.
+func (r Request) layer(i int) dnn.Layer {
+	l := r.Model.Layers[i]
+	if r.Batch > 1 {
+		l = l.WithBatch(r.Batch)
 	}
-	m := r.Model
-	m.Layers = append([]dnn.Layer(nil), m.Layers...)
-	for i := range m.Layers {
-		m.Layers[i] = m.Layers[i].WithBatch(r.Batch)
-	}
-	return m
+	return l
 }
 
 // Points expands the request into the batch kernel's sweep points: one per
@@ -46,51 +40,56 @@ func (r Request) batched() dnn.Model {
 // accelerator and residency mode — the per-layer evaluations Run would make,
 // as RunBatch input.
 func (r Request) Points() []Point {
-	m := r.batched()
-	pts := make([]Point, len(m.Layers))
-	for i, l := range m.Layers {
-		pts[i] = Point{Accel: r.Accel, Layer: l, Mode: r.Mode}
+	pts := make([]Point, len(r.Model.Layers))
+	for i := range pts {
+		pts[i] = Point{Accel: r.Accel, Layer: r.layer(i), Mode: r.Mode}
 	}
 	return pts
 }
 
-// Run evaluates the request through the given layer runner (nil means
-// RunLayer) and aggregates the layer results in the model's layer order, so
-// any deterministic runner — including a memoized one — yields results
-// bit-identical to Run. Callers that need observability or cancellation
-// wrap RunLayerObserved or a context check in their runner.
+// Run evaluates the request through the given layer runner (nil means the
+// scalar kernel RunLayer wraps) and returns the model totals together with
+// every layer's result, in the model's layer order, in ModelResult.Layers.
+// Any deterministic runner — including a memoized one — yields totals
+// bit-identical to Run's. Callers that need observability or cancellation
+// pass ObservedRunner or wrap a context check around a runner.
 func (r Request) Run(run LayerRunner) (ModelResult, error) {
+	return r.aggregate(run, true)
+}
+
+// Totals is Run without the per-layer results: each layer is evaluated into
+// one reused slot and folded into the totals, so ModelResult.Layers stays
+// nil. Every total is bit-identical to Run's.
+func (r Request) Totals(run LayerRunner) (ModelResult, error) {
+	return r.aggregate(run, false)
+}
+
+// aggregate folds every layer's result, in layer order, into the totals;
+// with keep, each layer fills its own ModelResult.Layers slot, otherwise
+// all share one.
+func (r Request) aggregate(run LayerRunner, keep bool) (ModelResult, error) {
 	if err := r.Validate(); err != nil {
 		return ModelResult{}, err
 	}
 	if run == nil {
-		run = RunLayer
+		run = runLayerNop
 	}
-	m := r.batched()
-	res := ModelResult{Model: m.Name, Accel: r.Accel.Name(), Mode: r.Mode}
-	res.Layers = make([]LayerResult, 0, len(m.Layers))
-	for _, l := range m.Layers {
-		lr, err := run(r.Accel, l, r.Mode)
-		if err != nil {
+	res := ModelResult{Model: r.Model.Name, Accel: r.Accel.Name(), Mode: r.Mode}
+	var lr *LayerResult
+	if keep {
+		res.Layers = make([]LayerResult, len(r.Model.Layers))
+	} else {
+		lr = new(LayerResult)
+	}
+	for i := range r.Model.Layers {
+		if keep {
+			lr = &res.Layers[i]
+		}
+		l := r.layer(i)
+		if err := run(r.Accel, l, r.Mode, lr); err != nil {
 			return ModelResult{}, err
 		}
-		res.Layers = append(res.Layers, lr)
-		rep := float64(l.Repeat)
-		res.ExecSec += lr.ExecSec * rep
-		res.ComputeSec += lr.ComputeSec * rep
-		res.CommSec += lr.CommSec * rep
-		res.ComputeEnergy += lr.ComputeEnergy * rep
-		res.NetworkEnergy += lr.NetworkEnergy * rep
-		res.TotalEnergy += lr.TotalEnergy * rep
-		res.NetDynamic = res.NetDynamic.Add(network.EnergyParts{
-			EO:         lr.NetDynamic.EO * rep,
-			OE:         lr.NetDynamic.OE * rep,
-			Electrical: lr.NetDynamic.Electrical * rep,
-		})
-		res.NetStaticJ = network.StaticParts{
-			Laser:   res.NetStaticJ.Laser + lr.NetStaticJ.Laser*rep,
-			Heating: res.NetStaticJ.Heating + lr.NetStaticJ.Heating*rep,
-		}
+		res.add(&lr.LayerOutcome, l.Repeat)
 	}
 	return res, nil
 }

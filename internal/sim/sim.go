@@ -49,11 +49,24 @@ type Accelerator struct {
 func (a Accelerator) Name() string { return a.Arch.Name }
 
 // LayerResult holds one layer's simulation outcome (single instance; the
-// Repeat multiplier is applied at aggregation).
+// Repeat multiplier is applied at aggregation): the layer, its mapping, and
+// the scalar outcome.
 type LayerResult struct {
 	Layer   dnn.Layer
 	Profile dataflow.Profile
 
+	LayerOutcome
+
+	// FlowSecs[i] is the isolated network transfer time of Profile.Flows[i]
+	// under the accelerator's own network model (net.TransferTime); the
+	// trace exporter uses it to draw per-flow spans.
+	FlowSecs []float64
+}
+
+// LayerOutcome is the scalar part of a LayerResult — times, energies and
+// DRAM traffic, without the layer or its mapping. It is everything the
+// model totals are folded from, and all the internal/exp layer memo keeps.
+type LayerOutcome struct {
 	// Time in seconds.
 	ComputeSec float64 // serial vector-MAC schedule
 	InputSec   float64 // GB->PE delivery (overlappable)
@@ -70,11 +83,6 @@ type LayerResult struct {
 	TotalEnergy   float64
 
 	DRAMBytes int64
-
-	// FlowSecs[i] is the isolated network transfer time of Profile.Flows[i]
-	// under the accelerator's own network model (net.TransferTime); the
-	// trace exporter uses it to draw per-flow spans.
-	FlowSecs []float64
 }
 
 // ModelResult aggregates a full DNN (repeats included).
@@ -83,6 +91,8 @@ type ModelResult struct {
 	Accel string
 	Mode  Mode
 
+	// Layers holds every layer's result in model order. Request.Run fills
+	// it; Request.Totals leaves it nil.
 	Layers []LayerResult
 
 	ExecSec       float64
@@ -93,6 +103,30 @@ type ModelResult struct {
 	TotalEnergy   float64
 	NetDynamic    network.EnergyParts
 	NetStaticJ    network.StaticParts
+	DRAMBytes     int64
+}
+
+// add folds one layer instance's outcome, times its repeat count, into the
+// totals. Request.Run and Request.Totals both fold through it, so the
+// totals arithmetic exists once.
+func (res *ModelResult) add(o *LayerOutcome, repeat int) {
+	rep := float64(repeat)
+	res.ExecSec += o.ExecSec * rep
+	res.ComputeSec += o.ComputeSec * rep
+	res.CommSec += o.CommSec * rep
+	res.ComputeEnergy += o.ComputeEnergy * rep
+	res.NetworkEnergy += o.NetworkEnergy * rep
+	res.TotalEnergy += o.TotalEnergy * rep
+	res.NetDynamic = res.NetDynamic.Add(network.EnergyParts{
+		EO:         o.NetDynamic.EO * rep,
+		OE:         o.NetDynamic.OE * rep,
+		Electrical: o.NetDynamic.Electrical * rep,
+	})
+	res.NetStaticJ = network.StaticParts{
+		Laser:   res.NetStaticJ.Laser + o.NetStaticJ.Laser*rep,
+		Heating: res.NetStaticJ.Heating + o.NetStaticJ.Heating*rep,
+	}
+	res.DRAMBytes += o.DRAMBytes * int64(repeat)
 }
 
 // RunLayer simulates one layer instance on the accelerator.
@@ -105,6 +139,27 @@ func RunLayer(acc Accelerator, l dnn.Layer, mode Mode) (LayerResult, error) {
 // overlap/stall accounting flow into rec. With the no-op recorder every
 // instrumentation block is skipped, keeping the hot path unchanged.
 func RunLayerObserved(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder) (LayerResult, error) {
+	var r LayerResult
+	err := runLayer(acc, l, mode, rec, &r)
+	return r, err
+}
+
+// ObservedRunner is the LayerRunner that evaluates every layer as
+// RunLayerObserved does, recording into rec.
+func ObservedRunner(rec obs.Recorder) LayerRunner {
+	return func(acc Accelerator, l dnn.Layer, mode Mode, r *LayerResult) error {
+		return runLayer(acc, l, mode, rec, r)
+	}
+}
+
+// runLayerNop is the default LayerRunner: the unobserved scalar kernel.
+func runLayerNop(acc Accelerator, l dnn.Layer, mode Mode, r *LayerResult) error {
+	return runLayer(acc, l, mode, obs.Nop(), r)
+}
+
+// runLayer is the scalar layer kernel. It overwrites every field of r, so a
+// caller may reuse one slot across layers; on error r is left untouched.
+func runLayer(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder, r *LayerResult) error {
 	enabled := rec.Enabled()
 	var mapStart time.Time
 	if enabled {
@@ -112,7 +167,7 @@ func RunLayerObserved(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder)
 	}
 	p, err := acc.Flow.Map(l, acc.Arch)
 	if err != nil {
-		return LayerResult{}, fmt.Errorf("sim: mapping %s on %s: %w", l.Name, acc.Name(), err)
+		return fmt.Errorf("sim: mapping %s on %s: %w", l.Name, acc.Name(), err)
 	}
 	if enabled {
 		rec.Observe("spacx_sim_layer_mapping_seconds", time.Since(mapStart).Seconds())
@@ -120,7 +175,7 @@ func RunLayerObserved(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder)
 	}
 	net := acc.Arch.Net
 
-	r := LayerResult{Layer: l, Profile: p}
+	r.Layer, r.Profile = l, p
 	r.ComputeSec = float64(p.VectorSteps) / acc.Arch.ClockHz
 
 	// Fold flows into the overlappable pools. The pooling arithmetic lives
@@ -196,7 +251,7 @@ func RunLayerObserved(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder)
 	}
 	r.NetworkEnergy = r.NetDynamic.Total() + r.NetStaticJ.Total()
 	r.TotalEnergy = r.ComputeEnergy + r.NetworkEnergy
-	return r, nil
+	return nil
 }
 
 // dramBytes computes the off-chip traffic of one layer instance.
@@ -225,8 +280,9 @@ func Run(acc Accelerator, m dnn.Model, mode Mode) (ModelResult, error) {
 	return Request{Accel: acc, Model: m, Mode: mode}.Run(nil)
 }
 
-// LayerRunner evaluates one layer instance. Request.Run threads a custom
+// LayerRunner evaluates one layer instance into the caller's r, overwriting
+// every field on success. Request.Run and Request.Totals thread a custom
 // runner through the model aggregation so memoizing engines (internal/exp)
 // can substitute cached layer evaluations without duplicating — and risking
 // drift from — the aggregation arithmetic.
-type LayerRunner func(Accelerator, dnn.Layer, Mode) (LayerResult, error)
+type LayerRunner func(acc Accelerator, l dnn.Layer, mode Mode, r *LayerResult) error
