@@ -68,6 +68,7 @@ fuzz:
 	go test ./internal/sim -run '^$$' -fuzz FuzzRunBatch -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSweepPoint -fuzztime=10s
+	go test ./internal/exp -run '^$$' -fuzz FuzzJSONFloat -fuzztime=10s
 
 # Timed benchmarks across the repository (slow; for local investigation).
 bench:
@@ -75,10 +76,12 @@ bench:
 
 # The benchmark-trajectory harness: the suites behind the committed
 # BENCH_<area>.json baselines. eventsim covers the event-loop hot path;
-# sim covers the analytical layer path plus the two headline drivers.
+# sim covers the analytical layer path, the two headline drivers and the
+# /v1/thermal body writer.
 BENCH_EVENTSIM_CMD = go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/eventsim/
 BENCH_SIM_CMD = { go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/sim/; \
-	go test -run=NONE -bench='Fig16Cold|Fig16LatencyThroughput|SingleLayerSPACX' -benchmem -benchtime=200ms .; }
+	go test -run=NONE -bench='Fig16Cold|Fig16LatencyThroughput|SingleLayerSPACX' -benchmem -benchtime=200ms .; \
+	go test -run=NONE -bench='ThermalReportWrite' -benchmem -benchtime=200ms ./internal/exp/; }
 
 # Regenerate the committed baselines after a deliberate performance change.
 bench-json:

@@ -20,9 +20,11 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"spacx/internal/buildinfo"
@@ -115,7 +117,14 @@ func run(o options) error {
 			return err
 		}
 		report.ThermalCapacity(os.Stdout, rows)
-		return writeArtifacts(o, reg, rows)
+		return writeArtifacts(o, reg, func(w io.Writer) error {
+			b, err := json.MarshalIndent(rows, "", "  ")
+			if err != nil {
+				return err
+			}
+			_, err = w.Write(append(b, '\n'))
+			return err
+		})
 	}
 
 	rep, err := exp.ThermalReplay(exp.ThermalReplayConfig{
@@ -131,21 +140,23 @@ func run(o options) error {
 		return err
 	}
 	report.Thermal(os.Stdout, rep)
-	return writeArtifacts(o, reg, rep)
+	return writeArtifacts(o, reg, rep.WriteJSON)
 }
 
-// writeArtifacts flushes the -out JSON and -metrics snapshot.
-func writeArtifacts(o options, reg *obs.Registry, v any) error {
+// writeArtifacts flushes the -out JSON, which encode writes, and the
+// -metrics snapshot. The JSON is encoded whole before anything is written,
+// so an encoding error leaves no -out file.
+func writeArtifacts(o options, reg *obs.Registry, encode func(io.Writer) error) error {
 	if o.out != "" {
-		b, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
+		var b bytes.Buffer
+		if err := encode(&b); err != nil {
 			return err
 		}
-		b = append(b, '\n')
+		var err error
 		if o.out == "-" {
-			_, err = os.Stdout.Write(b)
+			_, err = os.Stdout.Write(b.Bytes())
 		} else {
-			err = os.WriteFile(o.out, b, 0o644)
+			err = os.WriteFile(o.out, b.Bytes(), 0o644)
 		}
 		if err != nil {
 			return err

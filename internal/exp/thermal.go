@@ -1,10 +1,16 @@
 package exp
 
 import (
+	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
+	"strconv"
 
 	"spacx/internal/dnn"
 	"spacx/internal/obs"
@@ -191,6 +197,123 @@ type ThermalReport struct {
 	Summary ThermalSummary
 }
 
+// WriteJSON writes rep byte for byte as json.Encoder with a two-space indent
+// would (the /v1/thermal body and the spacx-thermal -out file), without
+// reflection and without building the body (about 1 MB at 720 steps) in
+// memory. Everything but the series is small: it is marshaled whole with a
+// null series, and the points, appended one at a time into one reused
+// buffer, are spliced in where the null stands. A NaN or an infinity is an
+// error, as it is to json.Encoder.
+func (rep *ThermalReport) WriteJSON(w io.Writer) error {
+	head := *rep
+	head.Series = nil
+	b, err := json.MarshalIndent(&head, "", "  ")
+	if err != nil {
+		return err
+	}
+	const null = `"Series": null`
+	at := bytes.Index(b, []byte(null))
+	if at < 0 {
+		return fmt.Errorf("exp: no %s in the thermal report head", null)
+	}
+	at += len(null) - len("null")
+
+	// bufio.Writer keeps the first write error; Flush returns it.
+	bw := bufio.NewWriter(w)
+	bw.Write(b[:at])
+	if rep.Series == nil {
+		bw.WriteString("null")
+	} else {
+		bw.WriteByte('[')
+		var pt []byte
+		for i := range rep.Series {
+			if pt, err = appendThermalPoint(pt[:0], &rep.Series[i]); err != nil {
+				return err
+			}
+			if i > 0 {
+				bw.WriteByte(',')
+			}
+			bw.Write(pt)
+		}
+		if len(rep.Series) > 0 {
+			bw.WriteString("\n  ")
+		}
+		bw.WriteByte(']')
+	}
+	bw.Write(b[at+len("null"):])
+	bw.WriteByte('\n')
+	return bw.Flush()
+}
+
+// appendThermalPoint appends pt as an indented json.Encoder writes it two
+// levels deep, as a series element: a newline and four spaces, then the
+// fields in struct order at six spaces and NodeTempsK's elements at eight.
+func appendThermalPoint(b []byte, pt *ThermalPoint) ([]byte, error) {
+	var err error
+	num := func(key string, f float64) {
+		b = append(b, key...)
+		if err == nil {
+			b, err = appendJSONFloat(b, f)
+		}
+	}
+	num("\n    {\n      \"TimeSec\": ", pt.TimeSec)
+	num(",\n      \"OfferedUtil\": ", pt.OfferedUtil)
+	num(",\n      \"AchievedUtil\": ", pt.AchievedUtil)
+	num(",\n      \"MaxChipletK\": ", pt.MaxChipletK)
+	num(",\n      \"MeanChipletK\": ", pt.MeanChipletK)
+	num(",\n      \"GBK\": ", pt.GBK)
+	num(",\n      \"InterposerK\": ", pt.InterposerK)
+	num(",\n      \"TuningMwPerRing\": ", pt.TuningMwPerRing)
+	num(",\n      \"ExtraHeatingW\": ", pt.ExtraHeatingW)
+	num(",\n      \"MarginDB\": ", pt.MarginDB)
+	num(",\n      \"Throttle\": ", pt.Throttle)
+	b = append(b, ",\n      \"Saturated\": "...)
+	b = strconv.AppendBool(b, pt.Saturated)
+	num(",\n      \"PackageW\": ", pt.PackageW)
+	num(",\n      \"PointsPerSec\": ", pt.PointsPerSec)
+	b = append(b, ",\n      \"NodeTempsK\": "...)
+	switch {
+	case pt.NodeTempsK == nil:
+		b = append(b, "null"...)
+	case len(pt.NodeTempsK) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i, t := range pt.NodeTempsK {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			num("\n        ", t)
+		}
+		b = append(b, "\n      ]"...)
+	}
+	b = append(b, "\n    }"...)
+	return b, err
+}
+
+// appendJSONFloat appends f as encoding/json writes a float64: the shortest
+// decimal that reads back as f, in exponent form when f is nonzero and
+// |f| < 1e-6 or |f| >= 1e21, with a one-digit negative exponent unpadded
+// (1e-7, not 1e-07). NaN and the infinities are json.Marshal's
+// UnsupportedValueError.
+func appendJSONFloat(b []byte, f float64) ([]byte, error) {
+	if math.IsNaN(f) || math.IsInf(f, 0) {
+		return b, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b, nil
+}
+
 // ThermalReplay runs one deterministic traffic replay through the coupled
 // thermal simulator and returns the time-series report. The accelerator is
 // the default SPACX machine; the model's static simulation fixes the
@@ -230,7 +353,8 @@ func ThermalReplay(cfg ThermalReplayConfig) (*ThermalReport, error) {
 }
 
 // replay drives the stepper through the offered series and assembles the
-// report, emitting metrics along the way.
+// report. Each step is observed into the achieved-utilization histogram;
+// the gauges and step counters are published once, by publishThermal.
 func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cfg ThermalReplayConfig, offered []float64) (*ThermalReport, error) {
 	rep := &ThermalReport{
 		Schema:   ThermalReportSchema,
@@ -255,6 +379,10 @@ func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cf
 	sum.MinMarginDB = math.Inf(1)
 	sum.MinThrottle = math.Inf(1)
 	enabled := recorder.Enabled()
+	lbl := obs.Label{Key: "profile", Value: cfg.Profile}
+	if enabled {
+		defer publishThermal(rep, lbl)
+	}
 	for i, u := range offered {
 		s, err := st.Step(u, cfg.StepSec)
 		if err != nil {
@@ -298,20 +426,7 @@ func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cf
 		sum.AchievedPoints += pt.PointsPerSec * cfg.StepSec
 
 		if enabled {
-			lbl := obs.Label{Key: "profile", Value: cfg.Profile}
-			recorder.Gauge("spacx_thermal_max_chiplet_kelvin", pt.MaxChipletK, lbl)
-			recorder.Gauge("spacx_thermal_interposer_kelvin", pt.InterposerK, lbl)
-			recorder.Gauge("spacx_thermal_tuning_mw_per_ring", pt.TuningMwPerRing, lbl)
-			recorder.Gauge("spacx_thermal_margin_db", pt.MarginDB, lbl)
-			recorder.Gauge("spacx_thermal_throttle", pt.Throttle, lbl)
 			recorder.Observe("spacx_thermal_step_achieved_util", pt.AchievedUtil, lbl)
-			recorder.Count("spacx_thermal_steps_total", 1, lbl)
-			if pt.Saturated {
-				recorder.Count("spacx_thermal_saturated_steps_total", 1, lbl)
-			}
-			if pt.Throttle < 1 {
-				recorder.Count("spacx_thermal_throttled_steps_total", 1, lbl)
-			}
 		}
 	}
 	n := float64(len(offered))
@@ -321,6 +436,33 @@ func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cf
 		sum.CapacityLossPct = 100 * (1 - sum.AchievedPoints/sum.OfferedPoints)
 	}
 	return rep, nil
+}
+
+// publishThermal publishes a replay to the package recorder: the gauges
+// take its last step and the counters add its step totals, so a finished
+// replay leaves the registry as per-step updates would, for one series
+// update each instead of one per step. The saturated and throttled counters
+// are created only once a step was degraded. A replay that failed part-way
+// publishes the steps it completed, one that failed at its first step
+// nothing.
+func publishThermal(rep *ThermalReport, lbl obs.Label) {
+	n := len(rep.Series)
+	if n == 0 {
+		return
+	}
+	last := &rep.Series[n-1]
+	recorder.Gauge("spacx_thermal_max_chiplet_kelvin", last.MaxChipletK, lbl)
+	recorder.Gauge("spacx_thermal_interposer_kelvin", last.InterposerK, lbl)
+	recorder.Gauge("spacx_thermal_tuning_mw_per_ring", last.TuningMwPerRing, lbl)
+	recorder.Gauge("spacx_thermal_margin_db", last.MarginDB, lbl)
+	recorder.Gauge("spacx_thermal_throttle", last.Throttle, lbl)
+	recorder.Count("spacx_thermal_steps_total", float64(n), lbl)
+	if s := rep.Summary.SaturatedSteps; s > 0 {
+		recorder.Count("spacx_thermal_saturated_steps_total", float64(s), lbl)
+	}
+	if s := rep.Summary.ThrottledSteps; s > 0 {
+		recorder.Count("spacx_thermal_throttled_steps_total", float64(s), lbl)
+	}
 }
 
 // CapacityRow is one point of the capacity-under-drift table: the

@@ -2,9 +2,15 @@ package exp
 
 import (
 	"bytes"
+	"encoding/json"
+	"io"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"spacx/internal/dnn"
+	"spacx/internal/obs"
 	"spacx/internal/sim"
 )
 
@@ -184,5 +190,193 @@ func TestThermalCapacityTable(t *testing.T) {
 	top := rows[len(rows)-1]
 	if top.OfferedUtil != 1.0 || top.AchievedUtil >= 1.0 || !top.Saturated {
 		t.Errorf("full-load equilibrium not degraded: %+v", top)
+	}
+}
+
+// recordThermalSteps applies the per-step reference updates for series to
+// ref, one step at a time: the five gauges, the achieved-utilization
+// histogram and the three step counters.
+func recordThermalSteps(ref *obs.Registry, profile string, series []ThermalPoint) {
+	lbl := obs.Label{Key: "profile", Value: profile}
+	for _, pt := range series {
+		ref.Gauge("spacx_thermal_max_chiplet_kelvin", pt.MaxChipletK, lbl)
+		ref.Gauge("spacx_thermal_interposer_kelvin", pt.InterposerK, lbl)
+		ref.Gauge("spacx_thermal_tuning_mw_per_ring", pt.TuningMwPerRing, lbl)
+		ref.Gauge("spacx_thermal_margin_db", pt.MarginDB, lbl)
+		ref.Gauge("spacx_thermal_throttle", pt.Throttle, lbl)
+		ref.Observe("spacx_thermal_step_achieved_util", pt.AchievedUtil, lbl)
+		ref.Count("spacx_thermal_steps_total", 1, lbl)
+		if pt.Saturated {
+			ref.Count("spacx_thermal_saturated_steps_total", 1, lbl)
+		}
+		if pt.Throttle < 1 {
+			ref.Count("spacx_thermal_throttled_steps_total", 1, lbl)
+		}
+	}
+}
+
+// thermalSeries keeps a snapshot's spacx_thermal_* series, which leaves
+// out the timing histogram spacx_exp_point_seconds.
+func thermalSeries(s obs.Snapshot) obs.Snapshot {
+	var out obs.Snapshot
+	for _, p := range s.Counters {
+		if strings.HasPrefix(p.Name, "spacx_thermal_") {
+			out.Counters = append(out.Counters, p)
+		}
+	}
+	for _, p := range s.Gauges {
+		if strings.HasPrefix(p.Name, "spacx_thermal_") {
+			out.Gauges = append(out.Gauges, p)
+		}
+	}
+	for _, h := range s.Histograms {
+		if strings.HasPrefix(h.Name, "spacx_thermal_") {
+			out.Histograms = append(out.Histograms, h)
+		}
+	}
+	return out
+}
+
+// TestThermalReplayRecordsMetrics pins the spacx_thermal_* series a
+// sequence of replays leaves in the package recorder: they must equal a
+// reference registry fed every returned step one update at a time, so
+// gauges hold the last step, counters add up across replays, and a replay
+// that never saturates or throttles creates neither of those series.
+func TestThermalReplayRecordsMetrics(t *testing.T) {
+	config := func(profile string, seed int64, steps int, feedback bool) ThermalReplayConfig {
+		return ThermalReplayConfig{Model: dnn.AlexNet(), Mode: sim.LayerByLayer,
+			Profile: profile, Seed: seed, Steps: steps, StepSec: 1, Feedback: feedback}
+	}
+	for _, tc := range []struct {
+		name    string
+		replays []ThermalReplayConfig
+		// noDegraded: the registry must hold no saturated or throttled
+		// series at all.
+		noDegraded bool
+	}{
+		{name: "one step replay", replays: []ThermalReplayConfig{config(ProfileStep, 1, 180, true)}},
+		{name: "replays accumulate", replays: []ThermalReplayConfig{
+			config(ProfileStep, 1, 180, true),
+			config(ProfileDiurnal, 3, 240, true),
+			config(ProfileStep, 2, 60, true),
+			config(ProfileBursty, 5, 120, true),
+		}},
+		{name: "feedback off", replays: []ThermalReplayConfig{config(ProfileStep, 1, 180, false)}, noDegraded: true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg, ref := obs.NewRegistry(nil), obs.NewRegistry(nil)
+			SetRecorder(reg)
+			defer SetRecorder(nil)
+			for _, cfg := range tc.replays {
+				rep, err := ThermalReplay(cfg)
+				if err != nil {
+					t.Fatalf("ThermalReplay(%s): %v", cfg.Profile, err)
+				}
+				recordThermalSteps(ref, cfg.Profile, rep.Series)
+			}
+			got, want := thermalSeries(reg.Snapshot()), thermalSeries(ref.Snapshot())
+			if len(got.Gauges) < 5 || len(got.Histograms) == 0 || len(got.Counters) == 0 {
+				t.Fatalf("too few spacx_thermal_* series: %+v", got)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("spacx_thermal_* series differ from per-step updates:\n got %+v\nwant %+v", got, want)
+			}
+			if tc.noDegraded {
+				for _, p := range got.Counters {
+					if p.Name != "spacx_thermal_steps_total" {
+						t.Errorf("feedback-off replay created %s", p.Name)
+					}
+				}
+			}
+		})
+	}
+
+	// A step error still publishes the steps before it: the stepper
+	// rejects a negative offered load at step 40.
+	t.Run("step error", func(t *testing.T) {
+		cfg := config(ProfileStep, 1, 60, true)
+		offered, err := OfferedLoad(cfg.Profile, cfg.Seed, cfg.Steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		offered[40] = -1
+		acc := sim.SPACXAccel()
+		res, err := runModelCached(acc, cfg.Model, cfg.Mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stepper := func() *sim.ThermalStepper {
+			st, err := sim.NewThermalStepper(acc, res, sim.DefaultThermalConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return st
+		}
+		prefix, err := replay(stepper(), acc, res, cfg, offered[:40])
+		if err != nil {
+			t.Fatalf("replay of the first 40 steps: %v", err)
+		}
+		ref := obs.NewRegistry(nil)
+		recordThermalSteps(ref, cfg.Profile, prefix.Series)
+
+		reg := obs.NewRegistry(nil)
+		SetRecorder(reg)
+		defer SetRecorder(nil)
+		if _, err := replay(stepper(), acc, res, cfg, offered); err == nil {
+			t.Fatal("replay accepted a negative offered load")
+		}
+		got, want := thermalSeries(reg.Snapshot()), thermalSeries(ref.Snapshot())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("series after a step error differ from the steps before it:\n got %+v\nwant %+v", got, want)
+		}
+	})
+}
+
+// FuzzJSONFloat checks appendJSONFloat against json.Marshal over float64
+// bit patterns: the same bytes, appended after what the buffer holds, for
+// every finite value, and json.Marshal's error for NaN and the infinities.
+func FuzzJSONFloat(f *testing.F) {
+	for _, v := range []float64{
+		1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0),
+		5e-324, math.Copysign(0, -1), -1e-7, math.MaxFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	} {
+		f.Add(math.Float64bits(v))
+	}
+	f.Fuzz(func(t *testing.T, bits uint64) {
+		v := math.Float64frombits(bits)
+		got, err := appendJSONFloat([]byte("x"), v)
+		want, wantErr := json.Marshal(v)
+		if wantErr != nil {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("appendJSONFloat(%#016x) error %v, want %v", bits, err, wantErr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("appendJSONFloat(%#016x): %v", bits, err)
+		}
+		if string(got) != "x"+string(want) {
+			t.Fatalf("appendJSONFloat(%#016x) = %q, json.Marshal %q", bits, got[1:], want)
+		}
+	})
+}
+
+// BenchmarkThermalReportWrite writes a 720-step diurnal replay report, the
+// end-to-end benchmark's thermal recipe, as the /v1/thermal body.
+func BenchmarkThermalReportWrite(b *testing.B) {
+	rep, err := ThermalReplay(ThermalReplayConfig{
+		Model: dnn.AlexNet(), Mode: sim.WholeInference, Profile: ProfileDiurnal,
+		Seed: 1, Steps: 720, StepSec: 10, Feedback: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := rep.WriteJSON(io.Discard); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -102,7 +100,7 @@ func decodeThermalRequest(data []byte, maxSteps int) (ThermalRequest, error) {
 // evaluation plus an RC integration that costs O(steps) — so they bypass
 // the admission queue; the model is the catalog's shared, read-only value.
 // Each step of the report carries its Throttle and Saturated state. The
-// body is streamed by writeThermalReport.
+// body is streamed by exp.ThermalReport.WriteJSON.
 func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeErr(w, http.StatusMethodNotAllowed, "use POST")
@@ -139,56 +137,5 @@ func (s *Service) handleThermal(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	// Past the status line a failed write has no one to report to.
-	_ = writeThermalReport(w, rep)
-}
-
-// writeThermalReport writes rep byte for byte as writeJSON would
-// (json.Encoder, two-space indent, trailing newline), but one series point
-// at a time through a bufio.Writer, so a long replay's body (about 1 MB at
-// 720 steps) is never built in memory, compact or indented. Everything but
-// the series is small: it is marshaled whole with a null series, and the
-// points are spliced in where the null stands.
-func writeThermalReport(w io.Writer, rep *exp.ThermalReport) error {
-	head := *rep
-	head.Series = nil
-	b, err := json.MarshalIndent(&head, "", "  ")
-	if err != nil {
-		return err
-	}
-	const null = `"Series": null`
-	at := bytes.Index(b, []byte(null))
-	if at < 0 {
-		return fmt.Errorf("serve: no %s in the thermal report head", null)
-	}
-	at += len(null) - len("null")
-
-	// bufio.Writer keeps the first write error; Flush returns it.
-	bw := bufio.NewWriter(w)
-	bw.Write(b[:at])
-	if rep.Series == nil {
-		bw.WriteString("null")
-	} else {
-		var pt bytes.Buffer
-		enc := json.NewEncoder(&pt)
-		enc.SetIndent("    ", "  ") // a point sits two levels deep
-		bw.WriteByte('[')
-		for i := range rep.Series {
-			pt.Reset()
-			if err := enc.Encode(&rep.Series[i]); err != nil {
-				return err
-			}
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			bw.WriteString("\n    ")
-			bw.Write(pt.Bytes()[:pt.Len()-1]) // drop Encode's newline
-		}
-		if len(rep.Series) > 0 {
-			bw.WriteString("\n  ")
-		}
-		bw.WriteByte(']')
-	}
-	bw.Write(b[at+len("null"):])
-	bw.WriteByte('\n')
-	return bw.Flush()
+	_ = rep.WriteJSON(w)
 }

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"math"
 	"net/http"
 	"testing"
 
@@ -121,24 +123,27 @@ func TestThermalEndpointStepCap(t *testing.T) {
 }
 
 // TestThermalBodyMatchesIndentedEncoding checks the streamed /v1/thermal
-// body against json.Encoder with a two-space indent, byte for byte. Rows
-// with a request body go through the endpoint, their Want a direct replay of
-// the same config; rows without one hand Want to writeThermalReport itself.
+// body against json.Encoder with a two-space indent, byte for byte, so a
+// field added to exp.ThermalPoint that the hand-written writer misses fails
+// here. Rows with a request body go through the endpoint, their Want a
+// direct replay of the same config; rows without one hand Want to
+// exp.ThermalReport.WriteJSON itself. A row with Err must fail to encode,
+// in both writers, with that error's text.
 func TestThermalBodyMatchesIndentedEncoding(t *testing.T) {
 	me, _ := modelByName("alexnet")
-	replay := func(mode, profile string, steps int, feedback bool) *exp.ThermalReport {
+	replay := func(mode, profile string, steps int, stepSec float64, feedback bool) *exp.ThermalReport {
 		rep, err := exp.ThermalReplay(exp.ThermalReplayConfig{
 			Model: me.model(), Mode: modeOf(mode), Profile: profile,
-			Seed: 7, Steps: steps, StepSec: 10, Feedback: feedback,
+			Seed: 7, Steps: steps, StepSec: stepSec, Feedback: feedback,
 		})
 		if err != nil {
-			t.Fatalf("replay %s/%s/%d/%v: %v", mode, profile, steps, feedback, err)
+			t.Fatalf("replay %s/%s/%d/%g/%v: %v", mode, profile, steps, stepSec, feedback, err)
 		}
 		return rep
 	}
-	request := func(mode, profile string, steps int, feedback bool) string {
-		return fmt.Sprintf(`{"model": "alexnet", "mode": %q, "profile": %q, "seed": 7, "steps": %d, "step_sec": 10, "feedback": %v}`,
-			mode, profile, steps, feedback)
+	request := func(mode, profile string, steps int, stepSec float64, feedback bool) string {
+		return fmt.Sprintf(`{"model": "alexnet", "mode": %q, "profile": %q, "seed": 7, "steps": %d, "step_sec": %v, "feedback": %v}`,
+			mode, profile, steps, stepSec, feedback)
 	}
 
 	var rows []tableTest[string, *exp.ThermalReport]
@@ -147,16 +152,29 @@ func TestThermalBodyMatchesIndentedEncoding(t *testing.T) {
 			for _, mode := range []string{"whole", "layer"} {
 				rows = append(rows, tableTest[string, *exp.ThermalReport]{
 					Name: fmt.Sprintf("%s/feedback=%v/%s", profile, feedback, mode),
-					Got:  request(mode, profile, 120, feedback),
-					Want: replay(mode, profile, 120, feedback),
+					Got:  request(mode, profile, 120, 10, feedback),
+					Want: replay(mode, profile, 120, 10, feedback),
 				})
 			}
 		}
 	}
-	rows = append(rows, tableTest[string, *exp.ThermalReport]{
-		Name: "one step", Got: request("whole", exp.ProfileStep, 1, true), Want: replay("whole", exp.ProfileStep, 1, true),
-	})
-	short := replay("whole", exp.ProfileStep, 3, true)
+	rows = append(rows,
+		tableTest[string, *exp.ThermalReport]{
+			Name: "one step", Got: request("whole", exp.ProfileStep, 1, 10, true), Want: replay("whole", exp.ProfileStep, 1, 10, true),
+		},
+		// The smallest step puts exponent-form floats in the series
+		// (TimeSec 5e-324) and in the summary (OfferedPoints 5.42e-321).
+		tableTest[string, *exp.ThermalReport]{
+			Name: "subnormal step", Got: request("whole", exp.ProfileStep, 1, 5e-324, true), Want: replay("whole", exp.ProfileStep, 1, 5e-324, true),
+		},
+	)
+	short := replay("whole", exp.ProfileStep, 3, 10, true)
+	edit := func(f func(series []exp.ThermalPoint)) *exp.ThermalReport {
+		r := *short
+		r.Series = append([]exp.ThermalPoint(nil), short.Series...)
+		f(r.Series)
+		return &r
+	}
 	empty, null, escaped := *short, *short, *short
 	empty.Series = []exp.ThermalPoint{}
 	null.Series = nil
@@ -165,6 +183,26 @@ func TestThermalBodyMatchesIndentedEncoding(t *testing.T) {
 		tableTest[string, *exp.ThermalReport]{Name: "writer/empty series", Want: &empty},
 		tableTest[string, *exp.ThermalReport]{Name: "writer/nil series", Want: &null},
 		tableTest[string, *exp.ThermalReport]{Name: "writer/HTML-escaped model", Want: &escaped},
+		tableTest[string, *exp.ThermalReport]{Name: "writer/nil node temps", Want: edit(func(s []exp.ThermalPoint) {
+			s[1].NodeTempsK = nil
+		})},
+		tableTest[string, *exp.ThermalReport]{Name: "writer/empty node temps", Want: edit(func(s []exp.ThermalPoint) {
+			s[0].NodeTempsK = []float64{}
+		})},
+		tableTest[string, *exp.ThermalReport]{Name: "writer/exponent-form floats", Want: edit(func(s []exp.ThermalPoint) {
+			s[0].TimeSec, s[0].GBK, s[0].ExtraHeatingW = 1e21, -1e-7, math.Copysign(0, -1)
+			s[2].PackageW = math.MaxFloat64
+			s[2].NodeTempsK = append([]float64{5e-324, math.Nextafter(1e-6, 0)}, s[2].NodeTempsK...)
+		})},
+		tableTest[string, *exp.ThermalReport]{Name: "writer/NaN node temp", Err: &json.UnsupportedValueError{Str: "NaN"},
+			Want: edit(func(s []exp.ThermalPoint) {
+				s[2].NodeTempsK = append([]float64(nil), s[2].NodeTempsK...)
+				s[2].NodeTempsK[3] = math.NaN()
+			})},
+		tableTest[string, *exp.ThermalReport]{Name: "writer/infinite margin", Err: &json.UnsupportedValueError{Str: "+Inf"},
+			Want: edit(func(s []exp.ThermalPoint) {
+				s[1].MarginDB = math.Inf(1)
+			})},
 	)
 
 	_, _, mux := newService(t, Options{Workers: 2})
@@ -176,8 +214,19 @@ func TestThermalBodyMatchesIndentedEncoding(t *testing.T) {
 			var want bytes.Buffer
 			enc := json.NewEncoder(&want)
 			enc.SetIndent("", "  ")
-			if err := enc.Encode(tc.Want); err != nil {
-				t.Fatalf("reference encode: %v", err)
+			encErr := enc.Encode(tc.Want)
+			if tc.Err != nil {
+				err := tc.Want.WriteJSON(io.Discard)
+				if encErr == nil || encErr.Error() != tc.Err.Error() {
+					t.Fatalf("reference encode error %v, want %v", encErr, tc.Err)
+				}
+				if err == nil || err.Error() != tc.Err.Error() {
+					t.Fatalf("WriteJSON error %v, want %v", err, tc.Err)
+				}
+				return
+			}
+			if encErr != nil {
+				t.Fatalf("reference encode: %v", encErr)
 			}
 			var got []byte
 			if tc.Got != "" {
@@ -191,8 +240,8 @@ func TestThermalBodyMatchesIndentedEncoding(t *testing.T) {
 				got = rr.Body.Bytes()
 			} else {
 				var buf bytes.Buffer
-				if err := writeThermalReport(&buf, tc.Want); err != nil {
-					t.Fatalf("writeThermalReport: %v", err)
+				if err := tc.Want.WriteJSON(&buf); err != nil {
+					t.Fatalf("WriteJSON: %v", err)
 				}
 				got = buf.Bytes()
 			}
