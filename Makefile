@@ -40,15 +40,13 @@ serve-race:
 	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun|TestCloseNeverStrandsAdmittedMiss' ./internal/serve/
 
 # End-to-end smoke of spacx-report's batch observability: one run writes a
-# -metrics snapshot and appends exactly one well-formed -ledger record.
+# -metrics snapshot holding the experiment point counter.
 report-smoke:
 	@set -e; \
 	go build -o /tmp/spacx-report ./cmd/spacx-report; \
-	rm -f /tmp/report-smoke.prom /tmp/runs.jsonl; \
-	/tmp/spacx-report -only table1 -metrics /tmp/report-smoke.prom -ledger /tmp/runs.jsonl >/dev/null; \
+	rm -f /tmp/report-smoke.prom; \
+	/tmp/spacx-report -only table1 -metrics /tmp/report-smoke.prom >/dev/null; \
 	grep -qm1 spacx_exp_points_total /tmp/report-smoke.prom; \
-	test "$$(wc -l < /tmp/runs.jsonl)" -eq 1; \
-	python3 -c "import json; r = json.load(open('/tmp/runs.jsonl')); assert r['schema'] == 1 and r['wall_sec'] > 0 and r['drivers'], r"; \
 	echo "report smoke ok"
 
 # End-to-end smoke of the spacx-serve API under the race detector:

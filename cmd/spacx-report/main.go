@@ -19,12 +19,10 @@
 // Observability: -v logs a structured progress line per experiment point to
 // stderr; -metrics writes the accumulated counters and histograms (Prometheus
 // text format, JSON when the path ends in .json, or stdout when the path is
-// "-"); -cpuprofile and -memprofile write runtime/pprof profiles; -ledger
-// path appends one JSON record per run (wall times, per-driver point counts,
-// peak goroutines/heap, histogram quantiles) and -regress ratio prints the
-// comparison against the previous ledger record to stderr, flagging drivers
-// that slowed past the ratio. SIGINT or SIGTERM stops the run and still
-// flushes -metrics and -ledger.
+// "-"), including each driver's point timings
+// (spacx_exp_point_seconds{sweep}); -cpuprofile and -memprofile write
+// runtime/pprof profiles. SIGINT or SIGTERM stops the run and still flushes
+// -metrics.
 package main
 
 import (
@@ -40,9 +38,7 @@ import (
 
 	"spacx/internal/buildinfo"
 	"spacx/internal/exp"
-	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
-	"spacx/internal/obs/ledger"
 	"spacx/internal/report"
 )
 
@@ -56,10 +52,6 @@ type options struct {
 	cpuProfile string
 	memProfile string
 	verbose    bool
-
-	ledgerPath string
-	ledgerKeep int
-	regress    float64
 	version    bool
 }
 
@@ -81,9 +73,6 @@ func main() {
 	flag.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile to this path")
 	flag.StringVar(&o.memProfile, "memprofile", "", "write a heap profile to this path on exit")
 	flag.BoolVar(&o.verbose, "v", false, "log structured per-point progress to stderr")
-	flag.StringVar(&o.ledgerPath, "ledger", "", "append a JSON run record to this file (e.g. runs.jsonl)")
-	flag.IntVar(&o.ledgerKeep, "ledger-keep", 0, "on startup, prune the -ledger file to its newest N records, dropping schema-mismatched lines (0 disables)")
-	flag.Float64Var(&o.regress, "regress", 0, "report drivers slower than this ratio vs the previous -ledger record (0 disables)")
 	flag.BoolVar(&o.version, "version", false, "print build info and exit")
 	flag.Parse()
 	o.only = strings.ToLower(o.only)
@@ -125,32 +114,11 @@ func run(o options) error {
 	if o.jobs < 1 {
 		return fmt.Errorf("-j must be >= 1, got %d", o.jobs)
 	}
-	if o.regress < 0 {
-		return fmt.Errorf("-regress must be >= 0, got %v", o.regress)
-	}
-	if o.regress > 0 && o.ledgerPath == "" {
-		return fmt.Errorf("-regress needs -ledger to compare against")
-	}
-	if o.ledgerKeep < 0 {
-		return fmt.Errorf("-ledger-keep must be >= 0, got %d", o.ledgerKeep)
-	}
-	if o.ledgerKeep > 0 && o.ledgerPath == "" {
-		return fmt.Errorf("-ledger-keep needs -ledger to prune")
-	}
-	if o.ledgerKeep > 0 {
-		kept, dropped, err := ledger.Prune(o.ledgerPath, ledger.SchemaVersion, o.ledgerKeep)
-		if err != nil {
-			return fmt.Errorf("prune ledger: %w", err)
-		}
-		if dropped > 0 {
-			fmt.Fprintf(os.Stderr, "spacx-report: ledger pruned to %d records (%d dropped)\n", kept, dropped)
-		}
-	}
 	exp.SetParallelism(o.jobs)
 
 	// SIGINT/SIGTERM cancels the sweep: in-flight points are abandoned at
 	// the engine's next claim, and whatever was collected still flushes to
-	// -metrics and -ledger below.
+	// -metrics below.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	exp.SetContext(ctx)
@@ -167,19 +135,10 @@ func run(o options) error {
 	}()
 
 	var reg *obs.Registry
-	if o.metrics != "" || o.verbose || o.ledgerPath != "" {
+	if o.metrics != "" || o.verbose {
 		reg = obs.NewRegistry(obs.NewLogger(os.Stderr, o.verbose))
 		exp.SetRecorder(reg)
 		defer exp.SetRecorder(nil)
-	}
-	// The ledger's per-driver table reads the engine's phase progress.
-	var prog *engine.Progress
-	var sampler *ledger.Sampler
-	if o.ledgerPath != "" {
-		prog = engine.NewProgress()
-		exp.SetProgress(prog)
-		defer exp.SetProgress(nil)
-		sampler = ledger.StartSampler(0)
 	}
 
 	var renderErr error
@@ -193,7 +152,7 @@ func run(o options) error {
 		return renderErr
 	}
 	if interrupted {
-		fmt.Fprintln(os.Stderr, "spacx-report: interrupted; flushing metrics and ledger")
+		fmt.Fprintln(os.Stderr, "spacx-report: interrupted; flushing metrics")
 	}
 
 	if o.verbose {
@@ -206,25 +165,6 @@ func run(o options) error {
 		if o.metrics != "-" {
 			fmt.Fprintf(os.Stderr, "metrics written to %s\n", o.metrics)
 		}
-	}
-	if o.ledgerPath != "" {
-		rec := ledger.New("spacx-report", o.only, o.jobs)
-		rec.FillProgress(prog.Status())
-		rec.FillSnapshot(reg.Snapshot())
-		rec.PeakGoroutines, rec.PeakHeapBytes = sampler.Stop()
-		if o.regress > 0 {
-			prev, ok, err := ledger.Last(o.ledgerPath)
-			if err != nil {
-				return err
-			}
-			if ok {
-				fmt.Fprint(os.Stderr, ledger.Compare(prev, rec, o.regress).String())
-			}
-		}
-		if err := ledger.Append(o.ledgerPath, rec); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "run recorded to %s\n", o.ledgerPath)
 	}
 	if interrupted {
 		return renderErr

@@ -15,7 +15,7 @@
 //	POST   /v1/sweep            a small parameter grid, synchronous
 //	POST   /v1/thermal          closed-loop thermal replay of a traffic profile
 //	POST   /v1/jobs             submit a sweep as an async job (202 + id)
-//	GET    /v1/jobs             job list, newest first (survives restarts)
+//	GET    /v1/jobs             job list, newest first
 //	GET    /v1/jobs/{id}        job status + result once done
 //	DELETE /v1/jobs/{id}        cancel a running job
 //	GET    /v1/jobs/{id}/events SSE progress stream (points done, rate, ETA)
@@ -63,7 +63,6 @@ type options struct {
 	sweepCap   int
 	retryAfter time.Duration
 	linger     time.Duration
-	jobsLedger string
 	jobsKeep   int
 	maxJobs    int
 	traceKeep  int
@@ -83,8 +82,7 @@ func main() {
 	flag.IntVar(&o.sweepCap, "sweep-points", 64, "largest accepted /v1/sweep grid")
 	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&o.linger, "http-linger", 2*time.Second, "keep serving this long after drain for a final metrics scrape")
-	flag.StringVar(&o.jobsLedger, "jobs-ledger", "", "persist async job state to this JSONL file (survives restarts)")
-	flag.IntVar(&o.jobsKeep, "jobs-keep", 64, "terminal jobs retained in memory and in the jobs ledger")
+	flag.IntVar(&o.jobsKeep, "jobs-keep", 64, "terminal async jobs retained in memory")
 	flag.IntVar(&o.maxJobs, "max-jobs", 8, "concurrently live async jobs; beyond it submissions get 429")
 	flag.IntVar(&o.traceKeep, "traces", 256, "recent request/job traces retained for /traces")
 	flag.BoolVar(&o.verbose, "v", false, "log structured request progress to stderr")
@@ -178,14 +176,13 @@ func run(o options) error {
 			}
 			return sr, nil
 		},
-		Path:     o.jobsLedger,
 		Keep:     o.jobsKeep,
 		MaxLive:  o.maxJobs,
 		Recorder: reg,
 		Traces:   traces,
 	})
 	if err != nil {
-		return fmt.Errorf("job ledger: %w", err)
+		return fmt.Errorf("jobs manager: %w", err)
 	}
 
 	srv, err := server.Start(o.httpAddr, server.Options{
@@ -209,8 +206,8 @@ func run(o options) error {
 
 	// Graceful half: stop advertising readiness, refuse new simulations,
 	// finish what is queued. A second signal during the drain hard-cancels.
-	// Jobs close first — cancelling them (recorded as failed-by-shutdown in
-	// the ledger) stops them feeding the admission queue the drain empties.
+	// Jobs close first — cancelling them (they end failed-by-shutdown) stops
+	// them feeding the admission queue the drain empties.
 	srv.SetReady(false)
 	go func() {
 		s := <-sigs

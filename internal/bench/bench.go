@@ -1,9 +1,7 @@
 // Package bench turns `go test -bench -benchmem` output into
 // schema-versioned JSON records (the committed BENCH_<area>.json files) and
-// compares a fresh run against a committed baseline. It is the
-// benchmark-trajectory counterpart of internal/obs/ledger: the ledger tracks
-// experiment wall time run over run, this package tracks per-benchmark
-// ns/op, B/op, allocs/op, and custom metrics commit over commit.
+// compares a fresh run against a committed baseline, so per-benchmark
+// ns/op, B/op, allocs/op, and custom metrics are tracked commit over commit.
 //
 // The comparison policy mirrors what is actually machine-independent:
 // allocs/op and B/op are properties of the code (a steady-state-zero hot

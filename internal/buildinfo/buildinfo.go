@@ -1,7 +1,7 @@
 // Package buildinfo reports the identity of the running binary — module
 // version, Go toolchain, and the VCS stamp the Go linker embeds — so that
-// ledger records, job records, and traces can be correlated with the exact
-// build that produced them. It is a thin, cached veneer over
+// every binary's -version flag and spacx-serve's /version endpoint name the
+// exact build that produced a result. It is a thin, cached veneer over
 // runtime/debug.ReadBuildInfo that degrades gracefully in tests and
 // unstamped builds.
 package buildinfo

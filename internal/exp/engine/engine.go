@@ -33,7 +33,19 @@ import (
 // scheduling. Cancelling ctx (nil means context.Background) abandons indices
 // that have not started; they report the context's error.
 func Map[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	return MapPhase(ctx, nil, workers, n, fn)
+	out := make([]T, n)
+	err := ForEach(ctx, workers, n, func(i int) error {
+		v, err := fn(i)
+		if err != nil {
+			return err
+		}
+		out[i] = v
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // ForEach is Map without result collection: fn(i) runs once per index across

@@ -9,13 +9,14 @@ import (
 	"spacx/internal/obs/tracing"
 )
 
-// Progress tracks the live state of a multi-phase sweep: each experiment
-// driver is one named Phase, and every point it fans across the worker pool
-// increments atomic submitted/started/done counters. A Progress is shared
-// between the running drivers and its readers (the run ledger's per-driver
-// table, spacx-serve's /progress endpoint), so all methods are safe for
-// concurrent use; the nil *Progress and nil *Phase are valid no-op
-// receivers, keeping untracked runs free of conditionals.
+// Progress tracks the live state of a multi-phase sweep: each named Phase
+// is one unit of sweep work (spacx-serve's served points, a job's grid),
+// and every point it fans across the worker pool increments atomic
+// submitted/started/done counters. A Progress is shared between the running
+// sweeps and its live readers (spacx-serve's /progress endpoint and a job's
+// SSE stream), so all methods are safe for concurrent use; the nil
+// *Progress and nil *Phase are valid no-op receivers, keeping untracked
+// runs free of conditionals.
 type Progress struct {
 	mu     sync.Mutex
 	start  time.Time
@@ -50,7 +51,7 @@ func (p *Progress) Phase(name string) *Phase {
 	return ph
 }
 
-// Phase is one named unit of sweep work (typically one experiment driver).
+// Phase is one named unit of sweep work.
 // Counters are atomics so worker goroutines update them without contention.
 type Phase struct {
 	name      string
@@ -199,21 +200,4 @@ func ForEachPhase(ctx context.Context, ph *Phase, workers, n int, fn func(i int)
 		defer ph.PointDone()
 		return fn(i)
 	})
-}
-
-// MapPhase is Map with per-point progress accounting through ph (nil = none).
-func MapPhase[T any](ctx context.Context, ph *Phase, workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := ForEachPhase(ctx, ph, workers, n, func(i int) error {
-		v, err := fn(i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

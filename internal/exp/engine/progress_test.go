@@ -12,7 +12,7 @@ func TestProgressCountsAcrossWorkers(t *testing.T) {
 	p := NewProgress()
 	ph := p.Phase("sweep")
 	n := 137
-	if _, err := MapPhase(context.Background(), ph, 8, n, func(i int) (int, error) { return i, nil }); err != nil {
+	if err := ForEachPhase(context.Background(), ph, 8, n, func(int) error { return nil }); err != nil {
 		t.Fatal(err)
 	}
 	st := p.Status()
@@ -67,8 +67,9 @@ func TestProgressNilSafe(t *testing.T) {
 	if st := p.Status(); st.Total != 0 || len(st.Phases) != 0 {
 		t.Errorf("nil progress status not zero: %+v", st)
 	}
-	if out, err := MapPhase(context.Background(), ph, 4, 3, func(i int) (int, error) { return i, nil }); err != nil || len(out) != 3 {
-		t.Errorf("MapPhase with nil phase: %v %v", out, err)
+	calls := 0
+	if err := ForEachPhase(context.Background(), ph, 1, 3, func(int) error { calls++; return nil }); err != nil || calls != 3 {
+		t.Errorf("ForEachPhase with nil phase: %d calls, err %v", calls, err)
 	}
 }
 

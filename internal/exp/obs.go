@@ -22,15 +22,6 @@ func SetRecorder(rec obs.Recorder) {
 	recorder = rec
 }
 
-// progress is the package-wide live progress tracker; each driver is one
-// named phase of it. The nil default makes all tracking a no-op.
-var progress *engine.Progress
-
-// SetProgress installs the progress tracker shared by every driver in this
-// package (nil disables tracking). Like SetRecorder, it is not safe to call
-// concurrently with a running driver; CLIs set it once at startup.
-func SetProgress(p *engine.Progress) { progress = p }
-
 // baseCtx is the context every driver fan-out runs under. The default
 // Background context never cancels, so untracked runs behave exactly as
 // before contexts existed.
@@ -50,13 +41,13 @@ func SetContext(ctx context.Context) {
 }
 
 // mapPoints fans a driver's n independent points across the worker pool,
-// tracking them as the named progress phase and timing each one into the
-// spacx_exp_point_seconds histogram. Every driver funnels its grid through
-// here, so the ledger's per-driver wall times and quantiles cover the whole
-// run regardless of which artifacts were selected.
+// counting each one into spacx_exp_points_total and timing it into the
+// spacx_exp_point_seconds histogram under the driver's sweep label. Every
+// driver funnels its grid through here, so a recorder's per-sweep series
+// cover the whole run regardless of which artifacts were selected.
 func mapPoints[T any](sweep string, n int, fn func(i int) (T, error)) ([]T, error) {
 	lbl := obs.Label{Key: "sweep", Value: sweep}
-	return engine.MapPhase(baseCtx, progress.Phase(sweep), parallelism, n, func(i int) (T, error) {
+	return engine.Map(baseCtx, parallelism, n, func(i int) (T, error) {
 		stop := recorder.Time("spacx_exp_point_seconds", lbl)
 		v, err := fn(i)
 		stop()
@@ -69,8 +60,8 @@ func mapPoints[T any](sweep string, n int, fn func(i int) (T, error)) ([]T, erro
 }
 
 // track wraps a single-shot driver (the tables, the area estimate) as a
-// one-point sweep so its wall time shows up in the run ledger alongside the
-// fanned-out figures.
+// one-point sweep so its wall time lands in spacx_exp_point_seconds
+// alongside the fanned-out figures.
 func track[T any](sweep string, fn func() (T, error)) (T, error) {
 	out, err := mapPoints(sweep, 1, func(int) (T, error) { return fn() })
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"spacx/internal/dnn"
-	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
 	"spacx/internal/photonic"
 	"spacx/internal/sim"
@@ -64,10 +63,13 @@ func TestPowerSweepReportsProgress(t *testing.T) {
 	}
 }
 
-func TestDriversReportProgressPhases(t *testing.T) {
-	prog := engine.NewProgress()
-	SetProgress(prog)
-	defer SetProgress(nil)
+// TestDriversTimeEveryPoint checks the per-driver accounting a recorder
+// keeps: every point a driver fans out, and a single-shot driver's one
+// point, is counted and timed under the driver's sweep label.
+func TestDriversTimeEveryPoint(t *testing.T) {
+	reg := obs.NewRegistry(nil)
+	SetRecorder(reg)
+	defer SetRecorder(nil)
 
 	pts, err := PowerSweep(8, 8, photonic.Moderate())
 	if err != nil {
@@ -77,25 +79,16 @@ func TestDriversReportProgressPhases(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := prog.Status()
-	byName := map[string]engine.PhaseStatus{}
-	for _, ph := range st.Phases {
-		byName[ph.Name] = ph
-	}
-	power, ok := byName["power"]
-	if !ok {
-		t.Fatalf("no power phase in %+v", st.Phases)
-	}
-	if power.Total != int64(len(pts)) || power.Done != power.Total || power.Active {
-		t.Errorf("power phase = %+v, want %d done points and inactive", power, len(pts))
-	}
-	if power.WallSec <= 0 {
-		t.Errorf("power phase wall time = %v, want > 0", power.WallSec)
-	}
-	if tbl, ok := byName["table1"]; !ok || tbl.Done != 1 {
-		t.Errorf("table1 phase = %+v ok=%v, want one done point", tbl, ok)
-	}
-	if st.Done != st.Total || st.Done != power.Done+1 {
-		t.Errorf("overall status = %+v, want totals folding both phases", st)
+	for _, want := range []struct {
+		sweep  string
+		points int
+	}{{"power", len(pts)}, {"table1", 1}} {
+		lbl := obs.Label{Key: "sweep", Value: want.sweep}
+		if got := reg.Counter("spacx_exp_points_total", lbl); got != float64(want.points) {
+			t.Errorf("%s points counter = %v, want %d", want.sweep, got, want.points)
+		}
+		if got := reg.HistogramCount("spacx_exp_point_seconds", lbl); got != uint64(want.points) {
+			t.Errorf("%s point histogram count = %d, want %d", want.sweep, got, want.points)
+		}
 	}
 }

@@ -426,7 +426,7 @@ func replay(st *sim.ThermalStepper, acc sim.Accelerator, res sim.ModelResult, cf
 		sum.AchievedPoints += pt.PointsPerSec * cfg.StepSec
 
 		if enabled {
-			recorder.Observe("spacx_thermal_step_achieved_util", pt.AchievedUtil, lbl)
+			recorder.Observe("spacx_thermal_step_achieved_utilization_ratio", pt.AchievedUtil, lbl)
 		}
 	}
 	n := float64(len(offered))

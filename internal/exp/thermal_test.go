@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
@@ -204,7 +205,7 @@ func recordThermalSteps(ref *obs.Registry, profile string, series []ThermalPoint
 		ref.Gauge("spacx_thermal_tuning_mw_per_ring", pt.TuningMwPerRing, lbl)
 		ref.Gauge("spacx_thermal_margin_db", pt.MarginDB, lbl)
 		ref.Gauge("spacx_thermal_throttle", pt.Throttle, lbl)
-		ref.Observe("spacx_thermal_step_achieved_util", pt.AchievedUtil, lbl)
+		ref.Observe("spacx_thermal_step_achieved_utilization_ratio", pt.AchievedUtil, lbl)
 		ref.Count("spacx_thermal_steps_total", 1, lbl)
 		if pt.Saturated {
 			ref.Count("spacx_thermal_saturated_steps_total", 1, lbl)
@@ -328,6 +329,42 @@ func TestThermalReplayRecordsMetrics(t *testing.T) {
 		got, want := thermalSeries(reg.Snapshot()), thermalSeries(ref.Snapshot())
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("series after a step error differ from the steps before it:\n got %+v\nwant %+v", got, want)
+		}
+	})
+
+	// Every step's achieved utilization lies in [0, 1], so the histogram
+	// needs the unit buckets for its buckets and quantiles to carry
+	// information.
+	t.Run("utilization histogram", func(t *testing.T) {
+		reg := obs.NewRegistry(nil)
+		SetRecorder(reg)
+		defer SetRecorder(nil)
+		rep, err := ThermalReplay(config(ProfileDiurnal, 1, 120, true))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var h *obs.HistogramData
+		for _, hd := range reg.Snapshot().Histograms {
+			if hd.Name == "spacx_thermal_step_achieved_utilization_ratio" {
+				h = &hd
+				break
+			}
+		}
+		if h == nil || len(h.Buckets) == 0 {
+			t.Fatalf("no achieved-utilization histogram: %+v", h)
+		}
+		if top := h.Buckets[len(h.Buckets)-1].LE; top != 1 {
+			t.Fatalf("top finite bucket bound = %g, want 1 (unit buckets)", top)
+		}
+		utils := make([]float64, len(rep.Series))
+		for i, pt := range rep.Series {
+			utils[i] = pt.AchievedUtil
+		}
+		sort.Float64s(utils)
+		n := len(utils)
+		median := (utils[(n-1)/2] + utils[n/2]) / 2
+		if q := h.Quantile(0.5); math.Abs(q-median) > 0.1 {
+			t.Errorf("histogram median %g, series median %g: more than 0.1 apart", q, median)
 		}
 	})
 }

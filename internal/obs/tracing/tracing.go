@@ -36,8 +36,8 @@ import (
 // timed (they still feed the histograms) but not retained in the tree.
 const maxSpansPerTrace = 512
 
-// procID is the per-process trace-id prefix; the counter suffix makes every
-// id process-unique even when two servers share a ledger.
+// procID is the per-process trace-id prefix and the counter suffix makes
+// every id process-unique, so ids from two server processes never collide.
 var (
 	procID      = newProcID()
 	traceSerial atomic.Int64

@@ -72,8 +72,8 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, j.Status())
 }
 
-// handleList answers GET /v1/jobs with every tracked job, newest first —
-// including terminal jobs recovered from the ledger of a previous process.
+// handleList answers GET /v1/jobs with every tracked job, newest first: the
+// live ones and the newest Keep terminal ones.
 func (m *Manager) handleList(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, http.StatusOK, m.List())
 }

@@ -2,16 +2,14 @@
 // too slow for a synchronous HTTP round trip are submitted as jobs
 // (POST /v1/jobs), watched live over SSE (GET /v1/jobs/{id}/events, fed
 // from the experiment engine's per-phase progress counters — points done,
-// rate, ETA), cancelled mid-run (DELETE /v1/jobs/{id}, via the engine's
-// context plumbing), and survive the server: every state transition of the
-// lifecycle machine
+// rate, ETA), and cancelled mid-run (DELETE /v1/jobs/{id}, via the engine's
+// context plumbing). Each job moves through the lifecycle machine
 //
 //	pending → running → done | failed | cancelled
 //
-// appends one schema-versioned JSON line to the job ledger
-// (internal/obs/ledger), so a restarted server lists past jobs, marks the
-// ones it interrupted as failed, and garbage-collects old records instead
-// of losing everything a disconnected client had in flight.
+// Jobs live in memory only: the manager keeps at most Options.MaxLive live
+// jobs and the newest Options.Keep terminal ones, and they die with the
+// process.
 //
 // The package deliberately does not import the serving core: execution is
 // injected as a Prepare function returning a SweepRun, which internal/serve
@@ -23,16 +21,13 @@ import (
 	"context"
 	"crypto/rand"
 	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"spacx/internal/buildinfo"
 	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
-	"spacx/internal/obs/ledger"
 	"spacx/internal/obs/tracing"
 )
 
@@ -67,11 +62,8 @@ type Options struct {
 	// Prepare validates a submitted body into a runnable sweep; a returned
 	// error is reported to the client as a 400.
 	Prepare func(body []byte) (SweepRun, error)
-	// Path is the job ledger file ("" keeps jobs in memory only — they die
-	// with the process).
-	Path string
-	// Keep bounds the terminal jobs retained in memory and in the ledger
-	// (<= 0 means 64). Enforced on startup compaction and as jobs finish.
+	// Keep bounds the terminal jobs retained in memory (<= 0 means 64); the
+	// oldest are dropped as jobs finish.
 	Keep int
 	// MaxLive bounds concurrently live (non-terminal) jobs; submissions
 	// beyond it are rejected with ErrBusy (<= 0 means 8).
@@ -122,8 +114,8 @@ var (
 // ErrNotFound reports an unknown job id.
 var ErrNotFound = errors.New("jobs: no such job")
 
-// Manager owns the job table: submission, execution, cancellation,
-// persistence, recovery, and garbage collection.
+// Manager owns the job table: submission, execution, cancellation, and
+// garbage collection.
 type Manager struct {
 	opts Options
 	rec  obs.Recorder
@@ -136,8 +128,6 @@ type Manager struct {
 	jobs   map[string]*Job
 	order  []string // submission order, oldest first
 	closed bool
-
-	ledgerMu sync.Mutex // serializes ledger appends/compactions
 }
 
 // Job is one tracked job. All fields are guarded by mu except the progress
@@ -146,20 +136,17 @@ type Job struct {
 	id   string
 	kind string
 
-	mu         sync.Mutex
-	state      State
-	created    time.Time
-	started    time.Time
-	ended      time.Time
-	request    json.RawMessage
-	traceID    string
-	total      int
-	failed     int
-	errMsg     string
-	result     []byte
-	cancelled  bool // DELETE arrived; distinguishes cancelled from failed
-	recovered  bool // loaded from the ledger, not executed by this process
-	staticDone int  // done count for recovered jobs (no live counters)
+	mu        sync.Mutex
+	state     State
+	created   time.Time
+	started   time.Time
+	ended     time.Time
+	traceID   string
+	total     int
+	failed    int
+	errMsg    string
+	result    []byte
+	cancelled bool // DELETE arrived; distinguishes cancelled from failed
 
 	prog  *engine.Progress
 	phase *engine.Phase
@@ -185,91 +172,27 @@ type Status struct {
 	RatePerSec   float64 `json:"rate_per_sec,omitempty"`
 	ETASec       float64 `json:"eta_sec,omitempty"`
 
-	Error     string `json:"error,omitempty"`
-	Recovered bool   `json:"recovered,omitempty"`
+	Error string `json:"error,omitempty"`
 }
 
-// NewManager builds a manager and, when a ledger path is configured,
-// recovers it: the newest record per job id is loaded, jobs the previous
-// process left non-terminal are re-marked failed ("a restarted server
-// resumes-as-failed"), and the file is compacted down to the newest Keep
-// jobs with mismatched-schema lines dropped.
+// NewManager builds a manager; Options.Prepare is required.
 func NewManager(opts Options) (*Manager, error) {
 	if opts.Prepare == nil {
 		return nil, fmt.Errorf("jobs: Options.Prepare is required")
 	}
 	opts = opts.withDefaults()
 	ctx, cancel := context.WithCancel(context.Background())
-	m := &Manager{
+	return &Manager{
 		opts:   opts,
 		rec:    opts.Recorder,
 		ctx:    ctx,
 		cancel: cancel,
 		jobs:   map[string]*Job{},
-	}
-	if opts.Path != "" {
-		if err := m.recover(); err != nil {
-			cancel()
-			return nil, err
-		}
-	}
-	return m, nil
+	}, nil
 }
 
-// recover loads the ledger, fails interrupted jobs, and compacts.
-func (m *Manager) recover() error {
-	recs, skipped, err := ledger.ReadJobs(m.opts.Path)
-	if err != nil {
-		return err
-	}
-	if skipped > 0 {
-		m.rec.Count("spacx_jobs_ledger_skipped_total", float64(skipped))
-	}
-	now := time.Now().UTC()
-	for i := range recs {
-		if !State(recs[i].State).Terminal() {
-			recs[i].State = string(Failed)
-			recs[i].Error = "interrupted by server restart"
-			recs[i].Ended = now
-			recs[i].TimeUTC = now
-		}
-	}
-	if len(recs) > m.opts.Keep {
-		recs = recs[len(recs)-m.opts.Keep:]
-	}
-	for _, rec := range recs {
-		j := jobFromRecord(rec)
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-	}
-	return ledger.WriteJobs(m.opts.Path, recs)
-}
-
-// jobFromRecord rebuilds a (terminal) job from its newest ledger line.
-func jobFromRecord(rec ledger.JobRecord) *Job {
-	j := &Job{
-		id:         rec.ID,
-		kind:       rec.Kind,
-		state:      State(rec.State),
-		created:    rec.Created,
-		started:    rec.Started,
-		ended:      rec.Ended,
-		request:    rec.Request,
-		traceID:    rec.TraceID,
-		total:      rec.Total,
-		failed:     rec.Failed,
-		errMsg:     rec.Error,
-		result:     []byte(rec.Result),
-		recovered:  true,
-		staticDone: rec.Done,
-		done:       make(chan struct{}),
-	}
-	close(j.done)
-	return j
-}
-
-// newJobID returns a process-independent random job id; uniqueness across
-// restarts matters because recovered and fresh jobs share one table.
+// newJobID returns a random job id ("j" and 12 hex digits), falling back to
+// the clock if the system's random source fails.
 func newJobID() string {
 	var b [6]byte
 	if _, err := rand.Read(b[:]); err != nil {
@@ -281,22 +204,14 @@ func newJobID() string {
 // Submit validates body as a sweep, registers a pending job, and starts it
 // in the background. The returned job already has its id and trace id.
 func (m *Manager) Submit(body []byte) (*Job, error) {
+	// The first check spares Prepare when the manager is already full; the
+	// bound holds because the insert below checks again under the same lock.
 	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		return nil, ErrClosed
-	}
-	live := 0
-	for _, j := range m.jobs {
-		if !j.State().Terminal() {
-			live++
-		}
-	}
-	if live >= m.opts.MaxLive {
-		m.mu.Unlock()
-		return nil, ErrBusy
-	}
+	err := m.admitLocked()
 	m.mu.Unlock()
+	if err != nil {
+		return nil, err
+	}
 
 	sr, err := m.opts.Prepare(body)
 	if err != nil {
@@ -311,7 +226,6 @@ func (m *Manager) Submit(body []byte) (*Job, error) {
 		kind:    "sweep",
 		state:   Pending,
 		created: time.Now().UTC(),
-		request: append(json.RawMessage(nil), body...),
 		traceID: tracing.ID(tctx),
 		total:   sr.Len(),
 		prog:    prog,
@@ -321,10 +235,11 @@ func (m *Manager) Submit(body []byte) (*Job, error) {
 	}
 
 	m.mu.Lock()
-	if m.closed {
+	if err := m.admitLocked(); err != nil {
 		m.mu.Unlock()
 		cancel()
-		return nil, ErrClosed
+		root.End()
+		return nil, err
 	}
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
@@ -332,7 +247,6 @@ func (m *Manager) Submit(body []byte) (*Job, error) {
 
 	m.rec.Count("spacx_jobs_submitted_total", 1)
 	m.updateLiveGauge()
-	m.persist(j)
 
 	m.wg.Add(1)
 	go m.run(j, sr, tctx, root)
@@ -346,7 +260,6 @@ func (m *Manager) run(j *Job, sr SweepRun, ctx context.Context, root *tracing.Sp
 	j.state = Running
 	j.started = time.Now().UTC()
 	j.mu.Unlock()
-	m.persist(j)
 
 	result, failed, err := sr.Run(ctx, j.phase)
 	root.End()
@@ -374,26 +287,41 @@ func (m *Manager) run(j *Job, sr SweepRun, ctx context.Context, root *tracing.Sp
 
 	m.rec.Count("spacx_jobs_finished_total", 1, obs.Label{Key: "state", Value: string(state)})
 	m.updateLiveGauge()
-	m.persist(j)
 	m.gc()
 }
 
-// updateLiveGauge publishes the live (non-terminal) job count.
-func (m *Manager) updateLiveGauge() {
-	m.mu.Lock()
+// admitLocked reports why a submission cannot be admitted now: ErrClosed
+// once Close has begun, ErrBusy with MaxLive jobs live. m.mu must be held.
+func (m *Manager) admitLocked() error {
+	if m.closed {
+		return ErrClosed
+	}
+	if m.liveLocked() >= m.opts.MaxLive {
+		return ErrBusy
+	}
+	return nil
+}
+
+// liveLocked counts the live (non-terminal) jobs. m.mu must be held.
+func (m *Manager) liveLocked() int {
 	live := 0
 	for _, j := range m.jobs {
 		if !j.State().Terminal() {
 			live++
 		}
 	}
+	return live
+}
+
+// updateLiveGauge publishes the live (non-terminal) job count.
+func (m *Manager) updateLiveGauge() {
+	m.mu.Lock()
+	live := m.liveLocked()
 	m.mu.Unlock()
 	m.rec.Gauge("spacx_jobs_live", float64(live))
 }
 
-// gc trims terminal jobs beyond Keep from memory, oldest first. The ledger
-// itself is compacted on the next startup; bounding memory is what matters
-// while the server lives.
+// gc trims terminal jobs beyond Keep from memory, oldest first.
 func (m *Manager) gc() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -416,51 +344,6 @@ func (m *Manager) gc() {
 		kept = append(kept, id)
 	}
 	m.order = kept
-}
-
-// persist appends the job's current state to the ledger (no-op without a
-// path). Appends are serialized so transition lines stay in order.
-func (m *Manager) persist(j *Job) {
-	if m.opts.Path == "" {
-		return
-	}
-	m.ledgerMu.Lock()
-	defer m.ledgerMu.Unlock()
-	if err := ledger.AppendJob(m.opts.Path, j.record()); err != nil {
-		m.rec.Logger().Warn("job ledger append failed", "job", j.id, "err", err)
-	}
-}
-
-// record snapshots the job as one ledger line.
-func (j *Job) record() ledger.JobRecord {
-	st := j.Status()
-	rec := ledger.JobRecord{
-		Schema:  ledger.JobSchemaVersion,
-		ID:      st.ID,
-		Kind:    st.Kind,
-		State:   string(st.State),
-		TimeUTC: time.Now().UTC(),
-		Created: st.CreatedUTC,
-		TraceID: st.TraceID,
-		Version: buildinfo.Get().String(),
-		Total:   st.TotalPoints,
-		Done:    st.DonePoints,
-		Failed:  st.FailedPoints,
-		Error:   st.Error,
-	}
-	if st.StartedUTC != nil {
-		rec.Started = *st.StartedUTC
-	}
-	if st.EndedUTC != nil {
-		rec.Ended = *st.EndedUTC
-	}
-	j.mu.Lock()
-	rec.Request = j.request
-	if st.State == Done {
-		rec.Result = j.result
-	}
-	j.mu.Unlock()
-	return rec
 }
 
 // Get returns a job by id.
@@ -559,8 +442,6 @@ func (j *Job) Status() Status {
 		TotalPoints:  j.total,
 		FailedPoints: j.failed,
 		Error:        j.errMsg,
-		Recovered:    j.recovered,
-		DonePoints:   j.staticDone,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -570,17 +451,13 @@ func (j *Job) Status() Status {
 		t := j.ended
 		st.EndedUTC = &t
 	}
-	prog := j.prog
 	j.mu.Unlock()
-	if prog != nil {
-		ps := prog.Status()
-		for _, ph := range ps.Phases {
-			if ph.Name == "points" {
-				st.DonePoints = int(ph.Done)
-				if st.State == Running {
-					st.RatePerSec = ph.RatePerSec
-					st.ETASec = ph.ETASec
-				}
+	for _, ph := range j.prog.Status().Phases {
+		if ph.Name == "points" {
+			st.DonePoints = int(ph.Done)
+			if st.State == Running {
+				st.RatePerSec = ph.RatePerSec
+				st.ETASec = ph.ETASec
 			}
 		}
 	}

@@ -5,14 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"spacx/internal/exp/engine"
-	"spacx/internal/obs/ledger"
 	"spacx/internal/obs/tracing"
 )
 
@@ -107,6 +105,9 @@ func TestJobLifecycleToDone(t *testing.T) {
 }
 
 func TestSubmitRejectsBadBodyAndOverload(t *testing.T) {
+	if _, err := NewManager(Options{}); err == nil {
+		t.Fatal("NewManager accepted options without Prepare")
+	}
 	run := &fakeRun{n: 1, release: make(chan struct{})}
 	m := newTestManager(t, Options{MaxLive: 1}, run)
 
@@ -170,84 +171,94 @@ func TestCloseFailsLiveJobsAsInterrupted(t *testing.T) {
 	}
 }
 
-func TestLedgerPersistenceAndRestartRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.jsonl")
+// TestSubmitNeverExceedsMaxLive races eight submissions past the first
+// live-job count: Prepare holds each one until all eight have passed it, so
+// only the count taken where a job is inserted can keep MaxLive. Every
+// rejected submission must end the trace it started.
+func TestSubmitNeverExceedsMaxLive(t *testing.T) {
+	const submitters = 8
+	run := &fakeRun{n: 1, release: make(chan struct{})}
+	var arrived atomic.Int32
+	all := make(chan struct{}) // closed by the last submission to arrive
+	traces := tracing.NewCollector(2*submitters, nil)
+	m := newTestManager(t, Options{MaxLive: 1, Traces: traces, Prepare: func([]byte) (SweepRun, error) {
+		if arrived.Add(1) == submitters {
+			close(all)
+		}
+		select {
+		case <-all:
+			return run, nil
+		case <-time.After(5 * time.Second):
+			return nil, errors.New("not every submission reached Prepare")
+		}
+	}}, run)
 
-	run := &fakeRun{n: 2, result: []byte(`{"points":[]}`)}
-	m1 := newTestManager(t, Options{Path: path}, run)
-	j, err := m1.Submit([]byte(`{"models":["alexnet"]}`))
-	if err != nil {
-		t.Fatal(err)
+	type outcome struct {
+		j   *Job
+		err error
 	}
-	waitTerminal(t, j)
-	m1.Close()
-
-	// Fake a job a dead process left running, plus a schema-mismatched line
-	// a future version might write.
-	if err := ledger.AppendJob(path, ledger.JobRecord{
-		Schema: ledger.JobSchemaVersion, ID: "jorphan000001", Kind: "sweep",
-		State: string(Running), TimeUTC: time.Now().UTC(), Created: time.Now().UTC(),
-		Total: 9, Done: 4,
-	}); err != nil {
-		t.Fatal(err)
+	outcomes := make(chan outcome, submitters)
+	for i := 0; i < submitters; i++ {
+		go func() {
+			j, err := m.Submit([]byte("{}"))
+			outcomes <- outcome{j, err}
+		}()
 	}
-	if err := ledger.AppendLine(path, map[string]any{"schema": 999, "id": "jfuture"}); err != nil {
-		t.Fatal(err)
+	var admitted []*Job
+	busy := 0
+	for i := 0; i < submitters; i++ {
+		select {
+		case o := <-outcomes:
+			switch {
+			case o.err == nil:
+				admitted = append(admitted, o.j)
+			case errors.Is(o.err, ErrBusy):
+				busy++
+			default:
+				t.Errorf("submit error = %v, want nil or ErrBusy", o.err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a submission never returned")
+		}
 	}
-
-	m2 := newTestManager(t, Options{Path: path}, run)
-	list := m2.List()
-	if len(list) != 2 {
-		t.Fatalf("recovered %d jobs, want 2 (done + interrupted): %+v", len(list), list)
+	close(run.release)
+	if len(admitted) != 1 || busy != submitters-1 {
+		t.Fatalf("admitted %d and rejected %d as busy, want 1 and %d", len(admitted), busy, submitters-1)
 	}
-	byID := map[string]Status{}
-	for _, st := range list {
-		byID[st.ID] = st
+	waitTerminal(t, admitted[0])
+	m.Close() // waits for the runner, which ends the admitted job's trace
+	if list := m.List(); len(list) != 1 || list[0].ID != admitted[0].ID() {
+		t.Fatalf("list = %+v, want only the admitted job", list)
 	}
-	if st := byID[j.ID()]; st.State != Done || !st.Recovered || st.DonePoints != 2 {
-		t.Fatalf("recovered done job = %+v", st)
-	}
-	orphan := byID["jorphan000001"]
-	if orphan.State != Failed || orphan.Error != "interrupted by server restart" {
-		t.Fatalf("orphaned running job = %+v, want failed as interrupted", orphan)
-	}
-	if orphan.DonePoints != 4 || orphan.TotalPoints != 9 {
-		t.Fatalf("orphan progress = %d/%d, want 4/9 from its last line", orphan.DonePoints, orphan.TotalPoints)
-	}
-
-	// Recovery compacted the file: one line per job, no schema-999 line.
-	recs, skipped, err := ledger.ReadJobs(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || skipped != 0 {
-		t.Fatalf("compacted ledger has %d records (%d skipped), want 2 (0)", len(recs), skipped)
+	for _, ts := range traces.List() {
+		if !ts.Complete {
+			t.Errorf("trace %s left open: %+v", ts.ID, ts)
+		}
 	}
 }
 
-func TestRecoveryKeepsNewestN(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "jobs.jsonl")
+// TestKeepBoundsTerminalJobs runs more jobs to completion than Keep
+// retains: only the newest Keep stay listed and retrievable.
+func TestKeepBoundsTerminalJobs(t *testing.T) {
+	m := newTestManager(t, Options{Keep: 2}, &fakeRun{n: 1, result: []byte("{}")})
+	var ids []string
 	for i := 0; i < 5; i++ {
-		if err := ledger.AppendJob(path, ledger.JobRecord{
-			Schema: ledger.JobSchemaVersion, ID: fmt.Sprintf("j%012d", i), Kind: "sweep",
-			State: string(Done), TimeUTC: time.Now().UTC(), Created: time.Now().UTC(),
-		}); err != nil {
+		j, err := m.Submit([]byte("{}"))
+		if err != nil {
 			t.Fatal(err)
 		}
+		waitTerminal(t, j)
+		ids = append(ids, j.ID())
 	}
-	m := newTestManager(t, Options{Path: path, Keep: 2}, &fakeRun{n: 1})
+	m.Close() // waits for every runner, so the last job's trim has run
 	list := m.List()
-	if len(list) != 2 {
-		t.Fatalf("kept %d jobs, want 2", len(list))
+	if len(list) != 2 || list[0].ID != ids[4] || list[1].ID != ids[3] {
+		t.Fatalf("list = %+v, want the two newest jobs %s and %s, newest first", list, ids[4], ids[3])
 	}
-	if list[0].ID != "j000000000004" || list[1].ID != "j000000000003" {
-		t.Fatalf("kept wrong jobs: %+v", list)
-	}
-	st, err := os.Stat(path)
-	if err != nil || st.Size() == 0 {
-		t.Fatalf("compacted ledger missing: %v", err)
+	for _, id := range ids[:3] {
+		if _, ok := m.Get(id); ok {
+			t.Errorf("job %s is still retained beyond Keep", id)
+		}
 	}
 }
 
