@@ -66,6 +66,7 @@ fuzz:
 	go test ./internal/sim -run '^$$' -fuzz FuzzRunBatch -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSweepPoint -fuzztime=10s
+	go test ./internal/serve -run '^$$' -fuzz FuzzThermalRequest -fuzztime=10s
 	go test ./internal/exp -run '^$$' -fuzz FuzzJSONFloat -fuzztime=10s
 
 # Timed benchmarks across the repository (slow; for local investigation).

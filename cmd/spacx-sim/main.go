@@ -174,7 +174,7 @@ func run(o options) error {
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 	observed := sim.ObservedRunner(rec)
-	runner := func(a sim.Accelerator, l dnn.Layer, md sim.Mode, lr *sim.LayerResult) error {
+	runner := func(a sim.Accelerator, l *dnn.Layer, md sim.Mode, lr *sim.LayerResult) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -1,11 +1,14 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"spacx"
 )
 
 func opts(model, accel, mode, format string) options {
@@ -165,5 +168,90 @@ func TestProfilesWritten(t *testing.T) {
 		if fi, err := os.Stat(p); err != nil || fi.Size() == 0 {
 			t.Errorf("profile %s missing or empty (err=%v)", p, err)
 		}
+	}
+}
+
+// TestJSONFlowShape reads spacx-sim's -format json output for AlexNet on
+// SPACX and on Simba (whose WS mapper emits 3 flows for conv1 and 4 for the
+// layers after it): every layer's Profile.Flows is a JSON array holding the
+// mapper's flow count of objects with the 8 flow keys, and FlowSecs has one
+// time per flow.
+func TestJSONFlowShape(t *testing.T) {
+	flowKeys := []string{"Class", "Dir", "UniqueBytes", "Streams", "DestPerDatum", "TxCopies", "ChipletSpan", "PESpan"}
+	for _, accel := range []string{"spacx", "simba"} {
+		t.Run(accel, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out.json")
+			f, err := os.Create(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stdout := os.Stdout
+			os.Stdout = f
+			runErr := run(opts("alexnet", accel, "whole", "json"))
+			os.Stdout = stdout
+			if err := f.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if runErr != nil {
+				t.Fatal(runErr)
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res struct {
+				Layers []struct {
+					Profile struct {
+						Flows json.RawMessage
+					}
+					FlowSecs json.RawMessage
+				}
+			}
+			if err := json.Unmarshal(data, &res); err != nil {
+				t.Fatal(err)
+			}
+
+			acc, err := parseAccel(accel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := spacx.AlexNet()
+			if len(res.Layers) != len(m.Layers) {
+				t.Fatalf("%d layers in the JSON, want %d", len(res.Layers), len(m.Layers))
+			}
+			counts := map[int]bool{}
+			for i, lr := range res.Layers {
+				p, err := acc.Flow.Map(m.Layers[i], acc.Arch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := len(p.Flows)
+				counts[want] = true
+				var flows []map[string]json.RawMessage
+				if !bytes.HasPrefix(lr.Profile.Flows, []byte("[")) || json.Unmarshal(lr.Profile.Flows, &flows) != nil {
+					t.Fatalf("layer %d: Profile.Flows = %.80s, want a JSON array", i, lr.Profile.Flows)
+				}
+				if len(flows) != want {
+					t.Fatalf("layer %d: %d flows, want %d", i, len(flows), want)
+				}
+				for j, fl := range flows {
+					if len(fl) != len(flowKeys) {
+						t.Fatalf("layer %d flow %d has %d keys, want %d", i, j, len(fl), len(flowKeys))
+					}
+					for _, k := range flowKeys {
+						if _, ok := fl[k]; !ok {
+							t.Fatalf("layer %d flow %d lacks %q", i, j, k)
+						}
+					}
+				}
+				var secs []float64
+				if err := json.Unmarshal(lr.FlowSecs, &secs); err != nil || len(secs) != want {
+					t.Fatalf("layer %d: FlowSecs = %.80s, want %d times", i, lr.FlowSecs, want)
+				}
+			}
+			if accel == "simba" && !(counts[3] && counts[4]) {
+				t.Fatalf("Simba flow counts %v, want both 3 and 4", counts)
+			}
+		})
 	}
 }

@@ -13,7 +13,9 @@
 // carving (internal/dataflow) pays one block allocation per ~hundred calls
 // and hands out permanently-owned sub-slices, so the amortized byte cost
 // per op stays visible while the amortized allocation count rounds to
-// zero. The byte guard keeps that accounting from silently growing.
+// zero. Only results callers keep are carved; sim.Request.Totals refills
+// its one slot in place. The byte guard keeps that accounting from silently
+// growing.
 package bench
 
 import (

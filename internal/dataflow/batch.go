@@ -13,10 +13,11 @@ type FlowCost struct {
 	OutputSec float64
 	Dynamic   network.EnergyParts
 
-	// Times[i] is flows[i]'s isolated transfer time. Like the flow slice
-	// itself it is carved from a pooled slab and permanently owned by the
-	// caller (a sim.LayerResult holds it as FlowSecs for as long as the
-	// result is kept).
+	// Times[i] is flows[i]'s isolated transfer time. Like a mapper's flow
+	// slice it is either the caller's own slice, refilled in place, or a
+	// carving from a pooled slab that the caller then owns (a
+	// sim.LayerResult holds it as FlowSecs for as long as the result is
+	// kept).
 	Times []float64
 }
 
@@ -28,25 +29,36 @@ type FlowCost struct {
 // the scalar layer kernel and the batch kernel's cohort prelude both call
 // it, so the two paths cannot drift apart.
 func MeasureFlows(net network.Model, flows []network.Flow) FlowCost {
-	c := FlowCost{Times: newFloats(len(flows))}
+	var c FlowCost
+	MeasureFlowsInto(&c, net, flows)
+	return c
+}
+
+// MeasureFlowsInto is MeasureFlows into the caller's c: it overwrites every
+// field, and writes the times into c.Times when that slice has the
+// capacity, so c.Times must not be shared with a result someone else keeps.
+func MeasureFlowsInto(c *FlowCost, net network.Model, flows []network.Flow) {
+	times := floatsFor(c.Times, len(flows))
+	var in, out float64
+	var dyn network.EnergyParts
 	caps := net.Caps()
 	orthogonal := caps.CrossChipletBroadcast || caps.SingleChipletBroadcast
 	for i, f := range flows {
 		t := net.TransferTime(f)
-		c.Times[i] = t
+		times[i] = t
 		switch f.Dir {
 		case network.GBToPE:
 			if orthogonal {
-				if t > c.InputSec {
-					c.InputSec = t
+				if t > in {
+					in = t
 				}
 			} else {
-				c.InputSec += t
+				in += t
 			}
 		case network.PEToGB, network.PEToPE:
-			c.OutputSec += t
+			out += t
 		}
-		c.Dynamic = c.Dynamic.Add(net.DynamicEnergy(f))
+		dyn = dyn.Add(net.DynamicEnergy(f))
 	}
-	return c
+	*c = FlowCost{InputSec: in, OutputSec: out, Dynamic: dyn, Times: times}
 }

@@ -46,7 +46,7 @@ type Arch struct {
 }
 
 // Validate checks the architecture parameters.
-func (a Arch) Validate() error {
+func (a *Arch) Validate() error {
 	switch {
 	case a.M <= 0 || a.N <= 0:
 		return fmt.Errorf("dataflow: arch %q M=%d N=%d must be positive", a.Name, a.M, a.N)
@@ -69,7 +69,7 @@ func (a Arch) Validate() error {
 }
 
 // TotalPEs returns M*N.
-func (a Arch) TotalPEs() int { return a.M * a.N }
+func (a *Arch) TotalPEs() int { return a.M * a.N }
 
 // Profile is the result of mapping one layer onto one architecture.
 type Profile struct {
@@ -100,10 +100,10 @@ type Profile struct {
 }
 
 // MACs returns the layer's total MAC count (single instance).
-func (p Profile) MACs() int64 { return p.Layer.MACs() }
+func (p *Profile) MACs() int64 { return p.Layer.MACs() }
 
 // Utilization is achieved MACs per peak MAC-slot over the compute time.
-func (p Profile) Utilization(a Arch) float64 {
+func (p *Profile) Utilization(a Arch) float64 {
 	peak := float64(a.TotalPEs()) * float64(a.VectorWidth) * float64(p.VectorSteps)
 	if peak == 0 {
 		return 0
@@ -115,6 +115,30 @@ func (p Profile) Utilization(a Arch) float64 {
 type Dataflow interface {
 	Name() string
 	Map(l dnn.Layer, a Arch) (Profile, error)
+}
+
+// MapInto maps l onto a as df.Map does, but into the caller's p: on success
+// it overwrites every field of p, on error it leaves p untouched. The flows
+// go into p.Flows when that slice has the capacity, so p.Flows must not be
+// shared with a Profile someone else keeps. A caller that maps layer after
+// layer into one Profile (sim.Request.Totals' slot) carves no flow slice
+// after the first. The three built-in dataflows are dispatched statically:
+// pointers passed through an interface method call escape to the heap.
+// Any other dataflow goes through its Map.
+func MapInto(df Dataflow, l *dnn.Layer, a *Arch, p *Profile) error {
+	switch d := df.(type) {
+	case SPACX:
+		return d.mapInto(l, a, p)
+	case WS:
+		return d.mapInto(l, a, p)
+	case OSEF:
+		return d.mapInto(l, a, p)
+	}
+	q, err := df.Map(*l, *a)
+	if err == nil {
+		*p = q
+	}
+	return err
 }
 
 // ceilDiv is integer ceiling division.

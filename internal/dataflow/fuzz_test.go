@@ -1,6 +1,8 @@
 package dataflow
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"spacx/internal/dnn"
@@ -9,9 +11,12 @@ import (
 
 // FuzzTiling maps arbitrary valid layer shapes through all three dataflows
 // and checks the tiling invariants: no panics, utilization in (0, 1], and
-// every emitted network flow internally consistent. The raw fuzz inputs are
-// folded into the valid ranges rather than rejected, so every execution
-// exercises the mapping code.
+// every emitted network flow internally consistent. It also pins the fill
+// path to Map: one Profile and one FlowCost are refilled across WS, OS(e/f),
+// SPACX, SPACX-BA and WS in turn, so a 4-flow WS mapping precedes 3-flow ones,
+// and MapInto and MeasureFlowsInto must agree exactly with Map and
+// MeasureFlows. The raw fuzz inputs are folded into the valid ranges rather
+// than rejected, so every execution exercises the mapping code.
 func FuzzTiling(f *testing.F) {
 	// Seeds: the Figure 8 running example, a 1x1 conv, a depthwise conv,
 	// an FC layer, and a stride-2 downsampling conv.
@@ -28,7 +33,9 @@ func FuzzTiling(f *testing.F) {
 		GEF: 8, GK: 16,
 		Net: spacxnet.MustModel(spacxnet.Default32()),
 	}
-	dataflows := []Dataflow{WS{}, OSEF{}, SPACX{}, SPACX{BandwidthAllocation: true}}
+	// WS comes last too, so the fill path also overwrites what the
+	// retuning SPACX mappings left in the reused profile.
+	dataflows := []Dataflow{WS{}, OSEF{}, SPACX{}, SPACX{BandwidthAllocation: true}, WS{}}
 
 	// fold maps an arbitrary int into [1, max].
 	fold := func(v, max int) int {
@@ -56,11 +63,24 @@ func FuzzTiling(f *testing.F) {
 			return // fold can still produce kernels larger than the padded input
 		}
 
+		var reused Profile
+		var cost FlowCost
 		for _, df := range dataflows {
 			p, err := df.Map(l, arch)
+			fillErr := MapInto(df, &l, &arch, &reused)
+			if fmt.Sprint(fillErr) != fmt.Sprint(err) {
+				t.Fatalf("%s: MapInto error %v, Map error %v for %v", df.Name(), fillErr, err, l)
+			}
 			if err != nil {
 				// Rejecting a shape is fine; mapping it wrongly is not.
 				continue
+			}
+			if !reflect.DeepEqual(reused, p) {
+				t.Fatalf("%s: MapInto into a reused profile differs from Map for %v:\n%+v\nvs\n%+v", df.Name(), l, reused, p)
+			}
+			MeasureFlowsInto(&cost, arch.Net, reused.Flows)
+			if want := MeasureFlows(arch.Net, p.Flows); !reflect.DeepEqual(cost, want) {
+				t.Fatalf("%s: MeasureFlowsInto into a reused slice differs from MeasureFlows for %v:\n%+v\nvs\n%+v", df.Name(), l, cost, want)
 			}
 			u := p.Utilization(arch)
 			if !(u > 0 && u <= 1) {

@@ -21,12 +21,19 @@ type OSEF struct{}
 func (OSEF) Name() string { return "OS(e/f)" }
 
 // Map implements Dataflow.
-func (OSEF) Map(l dnn.Layer, a Arch) (Profile, error) {
+func (d OSEF) Map(l dnn.Layer, a Arch) (Profile, error) {
+	var p Profile
+	err := d.mapInto(&l, &a, &p)
+	return p, err
+}
+
+// mapInto is Map filling the caller's p (see MapInto).
+func (OSEF) mapInto(l *dnn.Layer, a *Arch, p *Profile) error {
 	if err := l.Validate(); err != nil {
-		return Profile{}, err
+		return err
 	}
 	if err := a.Validate(); err != nil {
-		return Profile{}, err
+		return err
 	}
 	gk := a.GK
 	if gk == 0 {
@@ -68,7 +75,8 @@ func (OSEF) Map(l dnn.Layer, a Arch) (Profile, error) {
 		prefetch = int(int64(buf.weight) / weightsPerK)
 	}
 	wStreams := minInt(maxIntv(kPar, prefetch), gk)
-	weightFlow := network.Flow{
+	flows := flowsFor(p.Flows, 3)
+	flows[0] = network.Flow{
 		Class:        network.Weights,
 		Dir:          network.GBToPE,
 		UniqueBytes:  int64(l.K) * weightsPerK * wFetch,
@@ -93,7 +101,7 @@ func (OSEF) Map(l dnn.Layer, a Arch) (Profile, error) {
 		iFetch = 1
 	}
 	overlap := maxIntv(1, minInt(a.N, (l.R/l.Stride)*(l.S/l.Stride)))
-	ifmapFlow := network.Flow{
+	flows[1] = network.Flow{
 		Class:        network.Ifmaps,
 		Dir:          network.GBToPE,
 		UniqueBytes:  int64(activeChiplets) * unionPerChiplet * efIters * iFetch,
@@ -104,7 +112,7 @@ func (OSEF) Map(l dnn.Layer, a Arch) (Profile, error) {
 		PESpan:       a.N,
 	}
 
-	outputFlow := network.Flow{
+	flows[2] = network.Flow{
 		Class:        network.Outputs,
 		Dir:          network.PEToGB,
 		UniqueBytes:  l.OfmapCount() * OutputBytes,
@@ -115,17 +123,15 @@ func (OSEF) Map(l dnn.Layer, a Arch) (Profile, error) {
 		PESpan:       a.N,
 	}
 
-	p := Profile{
-		Layer:          l,
-		Arch:           a.Name,
-		ActiveChiplets: activeChiplets,
-		ActivePEs:      minInt(usedPos*kPar, a.TotalPEs()),
-		VectorSteps:    steps,
-		Flows:          newFlows(weightFlow, ifmapFlow, outputFlow),
-		RetuneEpochs:   efIters + kIters,
-	}
-	fillAccessCounts(&p, a)
-	return p, nil
+	p.Layer = *l
+	p.Arch = a.Name
+	p.ActiveChiplets = activeChiplets
+	p.ActivePEs = minInt(usedPos*kPar, a.TotalPEs())
+	p.VectorSteps = steps
+	p.Flows = flows
+	p.RetuneEpochs = efIters + kIters
+	fillAccessCounts(p, a)
+	return nil
 }
 
 var _ Dataflow = OSEF{}

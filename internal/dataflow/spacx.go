@@ -40,11 +40,18 @@ func (d SPACX) Name() string {
 
 // Map implements Dataflow.
 func (d SPACX) Map(l dnn.Layer, a Arch) (Profile, error) {
+	var p Profile
+	err := d.mapInto(&l, &a, &p)
+	return p, err
+}
+
+// mapInto is Map filling the caller's p (see MapInto).
+func (d SPACX) mapInto(l *dnn.Layer, a *Arch, p *Profile) error {
 	if err := l.Validate(); err != nil {
-		return Profile{}, err
+		return err
 	}
 	if err := a.Validate(); err != nil {
-		return Profile{}, err
+		return err
 	}
 	gef, gk := a.GEF, a.GK
 	if gef == 0 {
@@ -108,7 +115,8 @@ func (d SPACX) Map(l dnn.Layer, a Arch) (Profile, error) {
 	}
 
 	// --- Weight flow: cross-chiplet broadcast on group X wavelengths. ---
-	weightFlow := network.Flow{
+	flows := flowsFor(p.Flows, 3)
+	flows[0] = network.Flow{
 		Class:       network.Weights,
 		Dir:         network.GBToPE,
 		UniqueBytes: int64(l.K) * weightsPerK * wFetch,
@@ -125,7 +133,7 @@ func (d SPACX) Map(l dnn.Layer, a Arch) (Profile, error) {
 	// Sharing along k: all channels at a position need the same window;
 	// grouped convolutions divide the sharing set.
 	kShare := maxIntv(1, usedK/l.Groups)
-	ifmapFlow := network.Flow{
+	flows[1] = network.Flow{
 		Class:        network.Ifmaps,
 		Dir:          network.GBToPE,
 		UniqueBytes:  int64(ef) * newPerPos * iFetch,
@@ -138,7 +146,7 @@ func (d SPACX) Map(l dnn.Layer, a Arch) (Profile, error) {
 	}
 
 	// --- Output flow: token-ring return on the shared Y wavelengths. ---
-	outputFlow := network.Flow{
+	flows[2] = network.Flow{
 		Class:        network.Outputs,
 		Dir:          network.PEToGB,
 		UniqueBytes:  l.OfmapCount() * OutputBytes,
@@ -151,32 +159,32 @@ func (d SPACX) Map(l dnn.Layer, a Arch) (Profile, error) {
 
 	retunes := efIters + kIters
 	if d.BandwidthAllocation {
-		weightFlow, ifmapFlow, retunes = d.rebalance(l, a, weightFlow, ifmapFlow, retunes, kIters)
+		retunes = rebalance(l, a, &flows[0], &flows[1], retunes, kIters)
 	}
 
-	p := Profile{
-		Layer:          l,
-		Arch:           a.Name,
-		ActiveChiplets: activeChiplets,
-		ActivePEs:      minInt(usedPos*usedK, a.TotalPEs()),
-		VectorSteps:    steps,
-		Flows:          newFlows(weightFlow, ifmapFlow, outputFlow),
-		RetuneEpochs:   retunes,
-	}
-	fillAccessCounts(&p, a)
-	return p, nil
+	p.Layer = *l
+	p.Arch = a.Name
+	p.ActiveChiplets = activeChiplets
+	p.ActivePEs = minInt(usedPos*usedK, a.TotalPEs())
+	p.VectorSteps = steps
+	p.Flows = flows
+	p.RetuneEpochs = retunes
+	fillAccessCounts(p, a)
+	return nil
 }
 
 // rebalance implements the flexible bandwidth-allocation scheme of
 // Section VI: the bound data type borrows idle wavelength-time from the
 // other group. Borrowed transfers are multicasts (cross-chiplet ifmap
 // multicast of convolution-reused values, single-chiplet weight multicast),
-// which cost extra transmitter conversions and extra splitter retuning.
-func (d SPACX) rebalance(l dnn.Layer, a Arch, w, i network.Flow, retunes, kIters int64) (network.Flow, network.Flow, int64) {
+// which cost extra transmitter conversions and extra splitter retuning. It
+// adjusts the weight flow w and the ifmap flow i in place and returns the
+// retune count.
+func rebalance(l *dnn.Layer, a *Arch, w, i *network.Flow, retunes, kIters int64) int64 {
 	wT := float64(w.UniqueBytes) / float64(w.Streams)
 	iT := float64(i.UniqueBytes) / float64(i.Streams)
 	if wT == iT || w.UniqueBytes == 0 || i.UniqueBytes == 0 {
-		return w, i, retunes
+		return retunes
 	}
 	// Balanced completion: both classes share the combined wavelength pool.
 	// min(S,F2)*min(R,E2)*K1 chiplets share an input feature (Section VI),
@@ -208,7 +216,7 @@ func (d SPACX) rebalance(l dnn.Layer, a Arch, w, i network.Flow, retunes, kIters
 		if gef == 0 {
 			gef = a.M
 		}
-		reuse := IfmapReuseChiplets(l, gef, gef, a.M/maxIntv(1, gef))
+		reuse := IfmapReuseChiplets(*l, gef, gef, a.M/maxIntv(1, gef))
 		if reuse > 1 || l.Kind == dnn.FC {
 			newStreams := (i.Streams + int(float64(i.UniqueBytes)/balanced+0.5) + 1) / 2
 			if newStreams > i.Streams {
@@ -218,7 +226,7 @@ func (d SPACX) rebalance(l dnn.Layer, a Arch, w, i network.Flow, retunes, kIters
 			}
 		}
 	}
-	return w, i, retunes
+	return retunes
 }
 
 // fillAccessCounts derives the memory-hierarchy access counts shared by all
@@ -228,14 +236,15 @@ func (d SPACX) rebalance(l dnn.Layer, a Arch, w, i network.Flow, retunes, kIters
 // transmitted copy / writes per received output. On networks without
 // broadcast support, every emulated-broadcast duplicate is a separate GB
 // SRAM read.
-func fillAccessCounts(p *Profile, a Arch) {
+func fillAccessCounts(p *Profile, a *Arch) {
 	macs := p.MACs()
 	p.PEBufReadBytes = macs * (WeightBytes + IfmapBytes)
-	broadcast := a.Net.Caps().CrossChipletBroadcast || a.Net.Caps().SingleChipletBroadcast
+	caps := a.Net.Caps()
+	broadcast := caps.CrossChipletBroadcast || caps.SingleChipletBroadcast
 	var delivered int64
 	var gbRead, gbWrite int64
-	for _, f := range p.Flows {
-		ff := f.Normalize()
+	for i := range p.Flows {
+		ff := p.Flows[i].Normalize()
 		switch ff.Dir {
 		case network.GBToPE:
 			delivered += ff.UniqueBytes * int64(ff.DestPerDatum)

@@ -19,12 +19,19 @@ type WS struct{}
 func (WS) Name() string { return "WS" }
 
 // Map implements Dataflow.
-func (WS) Map(l dnn.Layer, a Arch) (Profile, error) {
+func (d WS) Map(l dnn.Layer, a Arch) (Profile, error) {
+	var p Profile
+	err := d.mapInto(&l, &a, &p)
+	return p, err
+}
+
+// mapInto is Map filling the caller's p (see MapInto).
+func (WS) mapInto(l *dnn.Layer, a *Arch, p *Profile) error {
 	if err := l.Validate(); err != nil {
-		return Profile{}, err
+		return err
 	}
 	if err := a.Validate(); err != nil {
-		return Profile{}, err
+		return err
 	}
 	cPerGroup := l.C / l.Groups
 
@@ -63,7 +70,12 @@ func (WS) Map(l dnn.Layer, a Arch) (Profile, error) {
 	if perPEWeights > int64(buf.weight) {
 		wFetch = posIters // re-stream weights per output tile
 	}
-	weightFlow := network.Flow{
+	n := 3
+	if cPE > 1 {
+		n = 4 // psum reduction across the channel-parallel PEs
+	}
+	flows := flowsFor(p.Flows, n)
+	flows[0] = network.Flow{
 		Class:        network.Weights,
 		Dir:          network.GBToPE,
 		UniqueBytes:  l.WeightCount() * WeightBytes * wFetch,
@@ -81,7 +93,7 @@ func (WS) Map(l dnn.Layer, a Arch) (Profile, error) {
 		iFetch = kIters
 	}
 	newPerPos := int64(l.R) * int64(minInt(l.S, l.Stride)) * int64(cPerGroup) * IfmapBytes
-	ifmapFlow := network.Flow{
+	flows[1] = network.Flow{
 		Class:       network.Ifmaps,
 		Dir:         network.GBToPE,
 		UniqueBytes: int64(ef) * newPerPos * iFetch / int64(posC),
@@ -95,10 +107,8 @@ func (WS) Map(l dnn.Layer, a Arch) (Profile, error) {
 	}
 
 	// --- Psums: spatial reduction across the cPE channel-parallel PEs.
-	var flowBuf [4]network.Flow
-	flows := append(flowBuf[:0], weightFlow, ifmapFlow)
 	if cPE > 1 {
-		flows = append(flows, network.Flow{
+		flows[2] = network.Flow{
 			Class:        network.Psums,
 			Dir:          network.PEToPE,
 			UniqueBytes:  l.OfmapCount() * PsumBytes * int64(cPE-1),
@@ -107,10 +117,10 @@ func (WS) Map(l dnn.Layer, a Arch) (Profile, error) {
 			TxCopies:     1,
 			ChipletSpan:  kC * posC,
 			PESpan:       cPE,
-		})
+		}
 	}
 
-	flows = append(flows, network.Flow{
+	flows[n-1] = network.Flow{
 		Class:        network.Outputs,
 		Dir:          network.PEToGB,
 		UniqueBytes:  l.OfmapCount() * OutputBytes,
@@ -119,18 +129,17 @@ func (WS) Map(l dnn.Layer, a Arch) (Profile, error) {
 		TxCopies:     1,
 		ChipletSpan:  kC * posC,
 		PESpan:       kPE,
-	})
-
-	p := Profile{
-		Layer:          l,
-		Arch:           a.Name,
-		ActiveChiplets: kC * posC,
-		ActivePEs:      minInt(kC*posC*cPE*kPE, a.TotalPEs()),
-		VectorSteps:    steps,
-		Flows:          newFlows(flows...),
 	}
-	fillAccessCounts(&p, a)
-	return p, nil
+
+	p.Layer = *l
+	p.Arch = a.Name
+	p.ActiveChiplets = kC * posC
+	p.ActivePEs = minInt(kC*posC*cPE*kPE, a.TotalPEs())
+	p.VectorSteps = steps
+	p.Flows = flows
+	p.RetuneEpochs = 0
+	fillAccessCounts(p, a)
+	return nil
 }
 
 var _ Dataflow = WS{}

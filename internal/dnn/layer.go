@@ -65,7 +65,7 @@ type Layer struct {
 }
 
 // batch returns the effective batch size (zero value means 1).
-func (l Layer) batch() int64 {
+func (l *Layer) batch() int64 {
 	if l.Batch <= 1 {
 		return 1
 	}
@@ -131,11 +131,13 @@ func (l Layer) Times(n int) Layer {
 }
 
 // Validate checks internal consistency of the dimension set.
-func (l Layer) Validate() error {
+func (l *Layer) Validate() error {
 	switch {
 	case l.R <= 0 || l.S <= 0 || l.C <= 0 || l.K <= 0 ||
 		l.H <= 0 || l.W <= 0 || l.E <= 0 || l.F <= 0:
-		return fmt.Errorf("dnn: layer %q has non-positive dimension: %+v", l.Name, l)
+		// Format the value, not l: passing the pointer to fmt would move
+		// every validated layer to the heap.
+		return fmt.Errorf("dnn: layer %q has non-positive dimension: %+v", l.Name, *l)
 	case l.Stride <= 0:
 		return fmt.Errorf("dnn: layer %q has non-positive stride", l.Name)
 	case l.Groups <= 0 || l.C%l.Groups != 0 || l.K%l.Groups != 0:
@@ -153,30 +155,30 @@ func (l Layer) Validate() error {
 
 // MACs returns the multiply-accumulate count of one instance of the layer:
 // K * E * F * R * S * C/Groups.
-func (l Layer) MACs() int64 {
+func (l *Layer) MACs() int64 {
 	return l.batch() * int64(l.K) * int64(l.E) * int64(l.F) *
 		int64(l.R) * int64(l.S) * int64(l.C/l.Groups)
 }
 
 // WeightCount returns the number of weight values: K * R * S * C/Groups.
-func (l Layer) WeightCount() int64 {
+func (l *Layer) WeightCount() int64 {
 	return int64(l.K) * int64(l.R) * int64(l.S) * int64(l.C/l.Groups)
 }
 
 // IfmapCount returns the number of input-feature values: H * W * C.
-func (l Layer) IfmapCount() int64 {
+func (l *Layer) IfmapCount() int64 {
 	return l.batch() * int64(l.H) * int64(l.W) * int64(l.C)
 }
 
 // OfmapCount returns the number of output-feature values: K * E * F.
-func (l Layer) OfmapCount() int64 {
+func (l *Layer) OfmapCount() int64 {
 	return l.batch() * int64(l.K) * int64(l.E) * int64(l.F)
 }
 
 // OutputPositions returns Batch*E*F, the per-channel output plane size that
 // the SPACX dataflow distributes across chiplets (independent samples extend
 // the e/f plane).
-func (l Layer) OutputPositions() int64 { return l.batch() * int64(l.E) * int64(l.F) }
+func (l *Layer) OutputPositions() int64 { return l.batch() * int64(l.E) * int64(l.F) }
 
 // ArithmeticIntensity is MACs per input value moved (weights + ifmaps),
 // a rough communication-boundedness indicator used in tests and reports.
@@ -207,8 +209,8 @@ func (m Model) Validate() error {
 	if len(m.Layers) == 0 {
 		return fmt.Errorf("dnn: model %q has no layers", m.Name)
 	}
-	for _, l := range m.Layers {
-		if err := l.Validate(); err != nil {
+	for i := range m.Layers {
+		if err := m.Layers[i].Validate(); err != nil {
 			return fmt.Errorf("model %q: %w", m.Name, err)
 		}
 	}

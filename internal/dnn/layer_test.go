@@ -175,10 +175,10 @@ func TestWithBatch(t *testing.T) {
 		t.Error("batched output plane should scale by 8")
 	}
 	// Zero batch behaves as 1.
-	if l.MACs() != l.WithBatch(0).MACs() {
+	if b0 := l.WithBatch(0); l.MACs() != b0.MACs() {
 		t.Error("batch 0 should mean batch 1")
 	}
-	if err := l.WithBatch(-2).Validate(); err == nil {
+	if neg := l.WithBatch(-2); neg.Validate() == nil {
 		t.Error("negative batch should fail validation")
 	}
 }

@@ -116,12 +116,12 @@ func memoized(c *engine.Cache[layerKey, sim.LayerOutcome],
 // runLayerCached is the memoized sim.LayerRunner the model drivers
 // aggregate through: it rebuilds r from the key's layer and the cached
 // scalars, so r carries no mapping (Profile and FlowSecs are zero).
-func runLayerCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode, r *sim.LayerResult) error {
-	o, err := layerCached(acc, l, mode)
+func runLayerCached(acc sim.Accelerator, l *dnn.Layer, mode sim.Mode, r *sim.LayerResult) error {
+	o, err := layerCached(acc, *l, mode)
 	if err != nil {
 		return err
 	}
-	*r = sim.LayerResult{Layer: l, LayerOutcome: o}
+	*r = sim.LayerResult{Layer: *l, LayerOutcome: o}
 	return nil
 }
 

@@ -53,9 +53,15 @@ func Default32() Config {
 // Model implements network.Model for the electrical mesh.
 type Model struct {
 	cfg Config
-	// fingerprint is formatted once at construction; Fingerprint sits on
-	// the memoization hot path of the experiment drivers.
-	fingerprint string
+	// Derived values frozen at construction: the fingerprint (on the
+	// memoization hot path of the experiment drivers), the hop averages and
+	// the packet latency (on the per-layer hot path of sim.RunLayer). Each
+	// is the same float expression evaluated once, so results stay
+	// bit-identical.
+	fingerprint      string
+	packageHops      float64 // mean hops from the GB to a chiplet
+	chipletHops      float64 // mean hops from a chiplet's interface to a PE
+	packetLatencySec float64
 }
 
 // New validates and wraps a config.
@@ -66,7 +72,14 @@ func New(cfg Config) (*Model, error) {
 	if cfg.GBPorts <= 0 || cfg.ChipletReadGbps <= 0 || cfg.PEReadGbps <= 0 {
 		return nil, fmt.Errorf("emesh: bandwidths and GB ports must be positive: %+v", cfg)
 	}
-	return &Model{cfg: cfg, fingerprint: fmt.Sprintf("emesh%+v", cfg)}, nil
+	m := &Model{
+		cfg:         cfg,
+		fingerprint: fmt.Sprintf("emesh%+v", cfg),
+		packageHops: avgPackageHops(cfg.M),
+		chipletHops: avgChipletHops(cfg.N),
+	}
+	m.packetLatencySec = m.packetLatency()
+	return m, nil
 }
 
 // MustNew wraps a config known to be valid.
@@ -102,16 +115,16 @@ func meshDims(n int) (rows, cols int) {
 
 // avgPackageHops is the mean Manhattan distance from the GB (attached at an
 // edge-center port of the package mesh) to a chiplet.
-func (m *Model) avgPackageHops() float64 {
-	r, c := meshDims(m.cfg.M)
+func avgPackageHops(m int) float64 {
+	r, c := meshDims(m)
 	// Edge-center attachment: average row distance r/2, column distance c/4.
 	return float64(r)/2 + float64(c)/4 + 1
 }
 
 // avgChipletHops is the mean hop count from a chiplet's interface to a PE on
 // its internal mesh.
-func (m *Model) avgChipletHops() float64 {
-	r, c := meshDims(m.cfg.N)
+func avgChipletHops(n int) float64 {
+	r, c := meshDims(n)
 	return float64(r)/2 + float64(c)/4 + 1
 }
 
@@ -121,12 +134,15 @@ const bitsPerByte = 8
 // once per destination at the GB side, then the per-chiplet and per-PE links
 // bound the parallel delivery.
 func (m *Model) TransferTime(f network.Flow) float64 {
-	f = f.Normalize()
 	if f.UniqueBytes == 0 {
 		return 0
 	}
+	// The counts with Flow.Normalize's defaults (below one means one),
+	// read without copying the flow.
+	span := max(f.ChipletSpan, 1)
+	lanes := span * max(f.PESpan, 1)
 	bytes := float64(f.UniqueBytes)
-	dup := float64(f.DestPerDatum)
+	dup := float64(max(f.DestPerDatum, 1))
 
 	switch f.Dir {
 	case network.GBToPE:
@@ -135,8 +151,8 @@ func (m *Model) TransferTime(f network.Flow) float64 {
 		perPE := m.cfg.PEReadGbps * 1e9 / bitsPerByte
 
 		tGB := bytes * dup / gbEgress
-		tChiplet := bytes * dup / (perChiplet * float64(f.ChipletSpan))
-		tPE := bytes * dup / (perPE * float64(f.ChipletSpan*f.PESpan))
+		tChiplet := bytes * dup / (perChiplet * float64(span))
+		tPE := bytes * dup / (perPE * float64(lanes))
 		return math.Max(tGB, math.Max(tChiplet, tPE))
 
 	case network.PEToGB:
@@ -144,19 +160,15 @@ func (m *Model) TransferTime(f network.Flow) float64 {
 		perChiplet := m.cfg.ChipletWriteGbps * 1e9 / bitsPerByte
 		perPE := m.cfg.PEWriteGbps * 1e9 / bitsPerByte
 		tGB := bytes / gbIngress
-		tChiplet := bytes / (perChiplet * float64(f.ChipletSpan))
-		tPE := bytes / (perPE * float64(f.ChipletSpan*f.PESpan))
+		tChiplet := bytes / (perChiplet * float64(span))
+		tPE := bytes / (perPE * float64(lanes))
 		return math.Max(tGB, math.Max(tChiplet, tPE))
 
 	case network.PEToPE:
 		// Neighbor exchange on the chiplet meshes, fully parallel across
 		// chiplets; bounded by per-PE link bandwidth.
 		perPE := m.cfg.PEWriteGbps * 1e9 / bitsPerByte
-		lanes := float64(f.ChipletSpan * f.PESpan)
-		if lanes < 1 {
-			lanes = 1
-		}
-		return bytes / (perPE * lanes)
+		return bytes / (perPE * float64(lanes))
 	}
 	return 0
 }
@@ -164,14 +176,13 @@ func (m *Model) TransferTime(f network.Flow) float64 {
 // DynamicEnergy charges the package link + routers for every hop of every
 // duplicated byte, and the chiplet-level wires likewise.
 func (m *Model) DynamicEnergy(f network.Flow) network.EnergyParts {
-	f = f.Normalize()
-	bits := float64(f.UniqueBytes) * bitsPerByte * float64(f.DestPerDatum)
+	bits := float64(f.UniqueBytes) * bitsPerByte * float64(max(f.DestPerDatum, 1))
 	var e float64
 	switch f.Dir {
 	case network.GBToPE, network.PEToGB:
 		e = bits * (energy.PackageLinkEnergyPerBit +
-			energy.RouterEnergyPerBitHop*m.avgPackageHops())
-		e += bits * energy.ChipletWireEnergyPerBitHop * m.avgChipletHops()
+			energy.RouterEnergyPerBitHop*m.packageHops)
+		e += bits * energy.ChipletWireEnergyPerBitHop * m.chipletHops
 	case network.PEToPE:
 		// One-hop neighbor traffic on the chiplet mesh.
 		e = bits * energy.ChipletWireEnergyPerBitHop
@@ -184,9 +195,12 @@ func (m *Model) DynamicEnergy(f network.Flow) network.EnergyParts {
 func (m *Model) StaticPower() network.StaticParts { return network.StaticParts{} }
 
 // PacketLatency: per-hop router pipeline plus wire delay across both mesh
-// levels, plus serialization at the narrowest (PE-level) link.
-func (m *Model) PacketLatency(f network.Flow) float64 {
-	hops := m.avgPackageHops() + m.avgChipletHops()
+// levels, plus serialization at the narrowest (PE-level) link. It does not
+// depend on the flow; New computes it once.
+func (m *Model) PacketLatency(network.Flow) float64 { return m.packetLatencySec }
+
+func (m *Model) packetLatency() float64 {
+	hops := m.packageHops + m.chipletHops
 	perHop := float64(m.cfg.RouterCycles)/m.cfg.ClockHz + m.cfg.LinkDelaySec
 	serialize := float64(m.cfg.PacketBytes) / (m.cfg.PEReadGbps * 1e9 / bitsPerByte)
 	return hops*perHop + serialize

@@ -71,12 +71,19 @@ func Default32() Config {
 type Model struct {
 	cfg Config
 
-	// Derived values frozen at construction: StaticPower and Fingerprint
-	// are pure functions of the immutable config, and both sit on the
+	// Derived values frozen at construction: StaticPower, Fingerprint, the
+	// per-bit energies, the chiplet-mesh hop average and the packet latency
+	// are pure functions of the immutable config, and all sit on the
 	// per-layer hot path of sim.RunLayer (the static power budget builds a
-	// photonic PathBudget, the fingerprint formats the whole config).
-	static      network.StaticParts
-	fingerprint string
+	// photonic PathBudget, the fingerprint formats the whole config, the hop
+	// average factors the mesh). Each is the same float expression evaluated
+	// once, so results stay bit-identical.
+	static           network.StaticParts
+	fingerprint      string
+	eoPerBit         float64 // cfg.Params.EOEnergyPerBit()
+	oePerBit         float64 // cfg.Params.OEEnergyPerBit()
+	chipletHops      float64 // mean hops from a chiplet's interface to a PE
+	packetLatencySec float64
 }
 
 // New validates and wraps a config.
@@ -87,8 +94,15 @@ func New(cfg Config) (*Model, error) {
 	if cfg.GBBundles <= 0 || cfg.WavelengthsPerBus <= 0 {
 		return nil, fmt.Errorf("pcrossbar: bundles and wavelengths must be positive: %+v", cfg)
 	}
-	m := &Model{cfg: cfg, fingerprint: fmt.Sprintf("pcrossbar%+v", cfg)}
+	m := &Model{
+		cfg:         cfg,
+		fingerprint: fmt.Sprintf("pcrossbar%+v", cfg),
+		eoPerBit:    cfg.Params.EOEnergyPerBit(),
+		oePerBit:    cfg.Params.OEEnergyPerBit(),
+		chipletHops: avgChipletHops(cfg.N),
+	}
 	m.static = m.staticPower()
+	m.packetLatencySec = m.packetLatency()
 	return m, nil
 }
 
@@ -125,20 +139,23 @@ func meshDims(n int) (rows, cols int) {
 	return rows, n / rows
 }
 
-func (m *Model) avgChipletHops() float64 {
-	r, c := meshDims(m.cfg.N)
+func avgChipletHops(n int) float64 {
+	r, c := meshDims(n)
 	return float64(r)/2 + float64(c)/4 + 1
 }
 
 // TransferTime: GB egress over its crossbar bundles (duplicated bytes — no
 // broadcast), then per-chiplet crossbar channel, then the chiplet mesh.
 func (m *Model) TransferTime(f network.Flow) float64 {
-	f = f.Normalize()
 	if f.UniqueBytes == 0 {
 		return 0
 	}
+	// The counts with Flow.Normalize's defaults (below one means one),
+	// read without copying the flow.
+	span := max(f.ChipletSpan, 1)
+	lanes := span * max(f.PESpan, 1)
 	bytes := float64(f.UniqueBytes)
-	dup := float64(f.DestPerDatum)
+	dup := float64(max(f.DestPerDatum, 1))
 
 	switch f.Dir {
 	case network.GBToPE:
@@ -146,24 +163,20 @@ func (m *Model) TransferTime(f network.Flow) float64 {
 		perChiplet := m.cfg.ChipletReadGbps * 1e9 / bitsPerByte
 		perPE := m.cfg.PEReadGbps * 1e9 / bitsPerByte
 		tGB := bytes * dup / gbEgress
-		tChiplet := bytes * dup / (perChiplet * float64(f.ChipletSpan))
-		tPE := bytes * dup / (perPE * float64(f.ChipletSpan*f.PESpan))
+		tChiplet := bytes * dup / (perChiplet * float64(span))
+		tPE := bytes * dup / (perPE * float64(lanes))
 		return math.Max(tGB, math.Max(tChiplet, tPE))
 
 	case network.PEToGB:
 		perChiplet := m.cfg.ChipletWriteGbps * 1e9 / bitsPerByte
 		perPE := m.cfg.PEWriteGbps * 1e9 / bitsPerByte
-		tChiplet := bytes / (perChiplet * float64(f.ChipletSpan))
-		tPE := bytes / (perPE * float64(f.ChipletSpan*f.PESpan))
+		tChiplet := bytes / (perChiplet * float64(span))
+		tPE := bytes / (perPE * float64(lanes))
 		return math.Max(tChiplet, tPE)
 
 	case network.PEToPE:
 		perPE := m.cfg.PEWriteGbps * 1e9 / bitsPerByte
-		lanes := float64(f.ChipletSpan * f.PESpan)
-		if lanes < 1 {
-			lanes = 1
-		}
-		return bytes / (perPE * lanes)
+		return bytes / (perPE * float64(lanes))
 	}
 	return 0
 }
@@ -172,14 +185,13 @@ func (m *Model) TransferTime(f network.Flow) float64 {
 // one O/E conversion, plus electrical chiplet-mesh hops to the PE. PE-to-PE
 // psum traffic stays on the chiplet mesh.
 func (m *Model) DynamicEnergy(f network.Flow) network.EnergyParts {
-	f = f.Normalize()
-	bits := float64(f.UniqueBytes) * bitsPerByte * float64(f.DestPerDatum)
+	bits := float64(f.UniqueBytes) * bitsPerByte * float64(max(f.DestPerDatum, 1))
 	switch f.Dir {
 	case network.GBToPE, network.PEToGB:
 		return network.EnergyParts{
-			EO:         bits * m.cfg.Params.EOEnergyPerBit(),
-			OE:         bits * m.cfg.Params.OEEnergyPerBit(),
-			Electrical: bits * energy.ChipletWireEnergyPerBitHop * m.avgChipletHops(),
+			EO:         bits * m.eoPerBit,
+			OE:         bits * m.oePerBit,
+			Electrical: bits * energy.ChipletWireEnergyPerBitHop * m.chipletHops,
 		}
 	case network.PEToPE:
 		return network.EnergyParts{
@@ -228,14 +240,17 @@ func (m *Model) staticPower() network.StaticParts {
 }
 
 // PacketLatency: one crossbar traversal (E/O + flight + O/E) plus the
-// chiplet mesh hops and PE-level serialization.
-func (m *Model) PacketLatency(f network.Flow) float64 {
+// chiplet mesh hops and PE-level serialization. It does not depend on the
+// flow; New computes it once.
+func (m *Model) PacketLatency(network.Flow) float64 { return m.packetLatencySec }
+
+func (m *Model) packetLatency() float64 {
 	const conversion = 100e-12
 	flight := m.cfg.BusLengthCM / (3e10 / 4)
 	crossbar := 2*conversion + flight +
 		float64(m.cfg.PacketBytes)/(m.cfg.ChipletReadGbps*1e9/bitsPerByte)
 	perHop := float64(m.cfg.RouterCycles)/m.cfg.ClockHz + m.cfg.LinkDelaySec
-	mesh := m.avgChipletHops()*perHop +
+	mesh := m.chipletHops*perHop +
 		float64(m.cfg.PacketBytes)/(m.cfg.PEReadGbps*1e9/bitsPerByte)
 	return crossbar + mesh
 }

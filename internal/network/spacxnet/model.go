@@ -14,13 +14,18 @@ import (
 type Model struct {
 	cfg Config
 
-	// Derived values frozen at construction. StaticPower and Fingerprint
-	// sit on the per-layer hot path of sim.RunLayer, and both are pure
-	// functions of the immutable config; computing the photonic power
-	// budget (and formatting the fingerprint) once here instead of per call
-	// removes the dominant allocation source of the analytical simulator.
-	static      network.StaticParts
-	fingerprint string
+	// Derived values frozen at construction. StaticPower, Fingerprint, the
+	// per-bit conversion energies and the packet latency sit on the
+	// per-layer hot path of sim.RunLayer, and all are pure functions of the
+	// immutable config; computing the photonic power budget (and formatting
+	// the fingerprint) once here instead of per call removes the dominant
+	// allocation source of the analytical simulator. Each value is the same
+	// float expression evaluated once, so results stay bit-identical.
+	static           network.StaticParts
+	fingerprint      string
+	eoPerBit         float64 // cfg.Params.EOEnergyPerBit()
+	oePerBit         float64 // cfg.Params.OEEnergyPerBit()
+	packetLatencySec float64
 }
 
 // NewModel wraps a validated config.
@@ -30,9 +35,12 @@ func NewModel(cfg Config) (*Model, error) {
 	}
 	p := cfg.Power()
 	return &Model{
-		cfg:         cfg,
-		static:      network.StaticParts{Laser: p.LaserW, Heating: p.InterfaceHtW},
-		fingerprint: fmt.Sprintf("spacxnet%+v", cfg),
+		cfg:              cfg,
+		static:           network.StaticParts{Laser: p.LaserW, Heating: p.InterfaceHtW},
+		fingerprint:      fmt.Sprintf("spacxnet%+v", cfg),
+		eoPerBit:         cfg.Params.EOEnergyPerBit(),
+		oePerBit:         cfg.Params.OEEnergyPerBit(),
+		packetLatencySec: packetLatency(cfg),
 	}, nil
 }
 
@@ -71,11 +79,12 @@ const bytesPerSecPerWavelength = photonic.WavelengthGbps * 1e9 / 8
 // through the GB (PE -> GB on the return wavelength, GB -> PE on a forward
 // wavelength), doubling its serialization.
 func (m *Model) TransferTime(f network.Flow) float64 {
-	f = f.Normalize()
 	if f.UniqueBytes == 0 {
 		return 0
 	}
-	perStream := float64(f.UniqueBytes) / float64(f.Streams)
+	// Counts below one mean one (Flow.Normalize); reading them directly
+	// spares copying the flow.
+	perStream := float64(f.UniqueBytes) / float64(max(f.Streams, 1))
 	t := perStream / bytesPerSecPerWavelength
 	if f.Dir == network.PEToPE {
 		t *= 2
@@ -89,15 +98,14 @@ func (m *Model) TransferTime(f network.Flow) float64 {
 // 32 detections, where a unicast network would pay 32 of each. PE-to-PE
 // relays through the GB and pays the conversion pair twice.
 func (m *Model) DynamicEnergy(f network.Flow) network.EnergyParts {
-	f = f.Normalize()
 	bits := float64(f.UniqueBytes) * 8
 	hops := 1.0
 	if f.Dir == network.PEToPE {
 		hops = 2
 	}
 	return network.EnergyParts{
-		EO: bits * float64(f.TxCopies) * hops * m.cfg.Params.EOEnergyPerBit(),
-		OE: bits * float64(f.DestPerDatum) * hops * m.cfg.Params.OEEnergyPerBit(),
+		EO: bits * float64(max(f.TxCopies, 1)) * hops * m.eoPerBit,
+		OE: bits * float64(max(f.DestPerDatum, 1)) * hops * m.oePerBit,
 	}
 }
 
@@ -117,11 +125,13 @@ const speedOfLightWaveguideCMPerSec = 3e10 / 4
 // waveguide, O/E conversion, and serialization of one 64-byte packet at the
 // wavelength line rate. One hop regardless of placement — the property the
 // paper leans on ("one-hop data communication from the GB to arbitrary
-// PEs").
-func (m *Model) PacketLatency(f network.Flow) float64 {
+// PEs"). It does not depend on the flow; NewModel computes it once.
+func (m *Model) PacketLatency(network.Flow) float64 { return m.packetLatencySec }
+
+func packetLatency(cfg Config) float64 {
 	const packetBytes = 64
 	const conversion = 100e-12 // E/O or O/E latency, ~100 ps each
-	flight := (m.cfg.globalWaveguideCM() + m.cfg.localWaveguideCM()) /
+	flight := (cfg.globalWaveguideCM() + cfg.localWaveguideCM()) /
 		speedOfLightWaveguideCMPerSec
 	serialize := packetBytes / bytesPerSecPerWavelength
 	return 2*conversion + flight + serialize

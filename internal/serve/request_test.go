@@ -5,9 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"unicode/utf8"
+
+	"spacx/internal/exp"
 )
 
 func TestDecodeSimulateRequestNormalizes(t *testing.T) {
@@ -192,6 +196,56 @@ func FuzzSweepPoint(f *testing.F) {
 		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("check of %+v = (%+v, %v), decode of %s = (%+v, %v)",
 				req, got, gotErr, data, want, wantErr)
+		}
+	})
+}
+
+// FuzzThermalRequest checks the /v1/thermal decoder: it never panics, and a
+// request it accepts names a catalog model, a mode of whole or layer and a
+// profile from exp.Profiles(), with steps in [1, maxSteps] and a finite
+// step_sec above zero. An accepted request is normalized, so decoding its
+// JSON encoding gives the same request back.
+func FuzzThermalRequest(f *testing.F) {
+	const maxSteps = 720
+	f.Add([]byte(`{"model": "alexnet"}`))
+	f.Add([]byte(`{"model": "resnet50", "mode": "layer", "profile": "diurnal", "steps": 720, "step_sec": 10}`))
+	f.Add([]byte(`{"model": "vgg16", "profile": "bursty", "seed": -7, "feedback": false}`))
+	f.Add([]byte(`{"model": "alexnet", "steps": 721}`))
+	f.Add([]byte(`{"model": "alexnet", "step_sec": -1}`))
+	f.Add([]byte(`{"model": "alexnet", "steps": 2, "step_sec": 1e308}`))
+	f.Add([]byte(`{"model": "alexnet", "profile": "sine"}`))
+	f.Add([]byte(`{"model": "alexnet", "mode": "fast"}`))
+	f.Add([]byte(`{"model": "alexnet"} trailing`))
+	f.Add([]byte(`{"unknown": true}`))
+	f.Add([]byte(`null`))
+	f.Add([]byte(``))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decodeThermalRequest(data, maxSteps)
+		if err != nil {
+			return
+		}
+		if _, ok := modelByName(req.Model); !ok {
+			t.Fatalf("accepted unknown model %q", req.Model)
+		}
+		if req.Mode != "whole" && req.Mode != "layer" {
+			t.Fatalf("accepted unnormalized mode %q", req.Mode)
+		}
+		if !slices.Contains(exp.Profiles(), req.Profile) {
+			t.Fatalf("accepted unknown profile %q", req.Profile)
+		}
+		if req.Steps < 1 || req.Steps > maxSteps {
+			t.Fatalf("accepted out-of-range steps %d", req.Steps)
+		}
+		if math.IsNaN(req.StepSec) || math.IsInf(req.StepSec, 0) || req.StepSec <= 0 {
+			t.Fatalf("accepted step_sec %g", req.StepSec)
+		}
+		enc, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeThermalRequest(enc, maxSteps)
+		if err != nil || !reflect.DeepEqual(again, req) {
+			t.Fatalf("decode of %s = (%+v, %v), want %+v", enc, again, err, req)
 		}
 	})
 }

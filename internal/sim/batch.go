@@ -171,7 +171,7 @@ func RunBatch(pts []Point) ([]LayerResult, error) {
 		// time input.
 		lo := pos
 		for _, i := range idx {
-			dramB[pos] = dramBytes(pts[i].Layer, pts[i].Accel.Arch, pts[i].Mode)
+			dramB[pos] = dramBytes(&pts[i].Layer, &pts[i].Accel.Arch, pts[i].Mode)
 			pos++
 		}
 		db := dramB[lo:pos]

@@ -17,10 +17,11 @@ import (
 // leak in the accounting: each call carves its flow slice (~192 B) and
 // FlowSecs (~24 B) out of pooled slabs (internal/dataflow), so the bytes are
 // real and amortized while the block allocation lands once per ~hundred
-// calls and rounds to zero. A returned LayerResult retains its carving;
-// Request.Totals' one reused slot drops each layer's at the next layer, so
-// there it is garbage rather than retained. make bench-check guards both
-// numbers (B/op via the byte allowance in internal/bench).
+// calls and rounds to zero. A returned LayerResult retains its carving.
+// Request.Totals' one reused slot instead refills its slices in place, so
+// BenchmarkRequestTotals pays for the slot and its first carvings per call
+// whatever the layer count. make bench-check guards both numbers (B/op via
+// the byte allowance in internal/bench).
 func BenchmarkRunLayerNop(b *testing.B) {
 	acc := SPACXAccel()
 	l := dnn.NewSameConv("conv", 56, 64, 64, 3, 1)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"spacx/internal/dnn"
+	"spacx/internal/obs"
 )
 
 // Request bundles the parameters of one simulation query — accelerator,
@@ -66,13 +67,11 @@ func (r Request) Totals(run LayerRunner) (ModelResult, error) {
 
 // aggregate folds every layer's result, in layer order, into the totals;
 // with keep, each layer fills its own ModelResult.Layers slot, otherwise
-// all share one.
+// all share one, which the kernel refills in place. Each batched layer is
+// built in its slot's Layer field and handed to the runner by pointer.
 func (r Request) aggregate(run LayerRunner, keep bool) (ModelResult, error) {
 	if err := r.Validate(); err != nil {
 		return ModelResult{}, err
-	}
-	if run == nil {
-		run = runLayerNop
 	}
 	res := ModelResult{Model: r.Model.Name, Accel: r.Accel.Name(), Mode: r.Mode}
 	var lr *LayerResult
@@ -85,11 +84,21 @@ func (r Request) aggregate(run LayerRunner, keep bool) (ModelResult, error) {
 		if keep {
 			lr = &res.Layers[i]
 		}
-		l := r.layer(i)
-		if err := run(r.Accel, l, r.Mode, lr); err != nil {
+		lr.Layer = r.Model.Layers[i]
+		if r.Batch > 1 {
+			lr.Layer.Batch = r.Batch
+		}
+		repeat := lr.Layer.Repeat
+		var err error
+		if run == nil {
+			err = runLayer(&r.Accel, &lr.Layer, r.Mode, obs.Nop(), lr)
+		} else {
+			err = run(r.Accel, &lr.Layer, r.Mode, lr)
+		}
+		if err != nil {
 			return ModelResult{}, err
 		}
-		res.add(&lr.LayerOutcome, l.Repeat)
+		res.add(&lr.LayerOutcome, repeat)
 	}
 	return res, nil
 }

@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"spacx/internal/dataflow"
 	"spacx/internal/dnn"
+	"spacx/internal/obs"
 )
 
 func TestRequestRunMatchesRun(t *testing.T) {
@@ -77,11 +79,11 @@ func TestRequestRunObservedCustomRunnerCancels(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	r := Request{Accel: SPACXAccel(), Model: dnn.AlexNet(), Mode: WholeInference}
-	_, err := r.Run(func(acc Accelerator, l dnn.Layer, mode Mode, lr *LayerResult) error {
+	_, err := r.Run(func(acc Accelerator, l *dnn.Layer, mode Mode, lr *LayerResult) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		return runLayerNop(acc, l, mode, lr)
+		return runLayer(&acc, l, mode, obs.Nop(), lr)
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
@@ -126,22 +128,34 @@ func TestTotalsMatchesRun(t *testing.T) {
 	models := append(dnn.Benchmarks(), dnn.AlexNet(), dnn.MobileNetV2())
 	accs := []Accelerator{SPACXAccel(), SPACXAccelNoBA(), SimbaAccel(), POPSTARAccel()}
 	var rows []tableTest[Request, int]
-	for _, m := range models {
-		for _, acc := range accs {
-			for _, mode := range []Mode{LayerByLayer, WholeInference} {
-				for _, batch := range []int{1, 2 + rng.Intn(255)} {
-					rows = append(rows, tableTest[Request, int]{
-						Name: fmt.Sprintf("%s/%s/%s/b%d", m.Name, acc.Name(), mode, batch),
-						Got:  Request{Accel: acc, Model: m, Mode: mode, Batch: batch},
-						Want: len(m.Layers),
-					})
-				}
+	addRows := func(m dnn.Model, name string, acc Accelerator) {
+		for _, mode := range []Mode{LayerByLayer, WholeInference} {
+			for _, batch := range []int{1, 2 + rng.Intn(255)} {
+				rows = append(rows, tableTest[Request, int]{
+					Name: fmt.Sprintf("%s/%s/%s/b%d", m.Name, name, mode, batch),
+					Got:  Request{Accel: acc, Model: m, Mode: mode, Batch: batch},
+					Want: len(m.Layers),
+				})
 			}
 		}
+	}
+	for _, m := range models {
+		for _, acc := range accs {
+			addRows(m, acc.Name(), acc)
+		}
+	}
+	// OS(e/f) on the SPACX architecture draws its batches after the rows
+	// above, so those keep theirs.
+	osef := SPACXArchWithDataflow(dataflow.OSEF{})
+	for _, m := range models {
+		addRows(m, "SPACX-OSEF", osef)
 	}
 	badLayer := dnn.AlexNet()
 	badLayer.Layers = append([]dnn.Layer(nil), badLayer.Layers...)
 	badLayer.Layers[3].Stride = 0
+	badDim := dnn.AlexNet()
+	badDim.Layers = append([]dnn.Layer(nil), badDim.Layers...)
+	badDim.Layers[2].K = 0
 	noBuf := SPACXAccel()
 	noBuf.Arch.PEBufBytes = 0
 	rows = append(rows,
@@ -151,6 +165,9 @@ func TestTotalsMatchesRun(t *testing.T) {
 		tableTest[Request, int]{Name: "invalid layer",
 			Got: Request{Accel: SPACXAccel(), Model: badLayer, Mode: WholeInference},
 			Err: fmt.Errorf(`model "AlexNet": dnn: layer %q has non-positive stride`, badLayer.Layers[3].Name)},
+		tableTest[Request, int]{Name: "non-positive dimension",
+			Got: Request{Accel: SPACXAccel(), Model: badDim, Mode: WholeInference},
+			Err: errors.New(`model "AlexNet": dnn: layer "conv3" has non-positive dimension: conv3 conv 13x13 3x3 C256 K0 s1 -> 13x13 x1`)},
 		tableTest[Request, int]{Name: "layer fails to map",
 			Got: Request{Accel: noBuf, Model: dnn.AlexNet(), Mode: WholeInference},
 			Err: errors.New("sim: mapping conv1 on SPACX")},

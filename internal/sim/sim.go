@@ -140,48 +140,48 @@ func RunLayer(acc Accelerator, l dnn.Layer, mode Mode) (LayerResult, error) {
 // instrumentation block is skipped, keeping the hot path unchanged.
 func RunLayerObserved(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder) (LayerResult, error) {
 	var r LayerResult
-	err := runLayer(acc, l, mode, rec, &r)
+	err := runLayer(&acc, &l, mode, rec, &r)
 	return r, err
 }
 
 // ObservedRunner is the LayerRunner that evaluates every layer as
 // RunLayerObserved does, recording into rec.
 func ObservedRunner(rec obs.Recorder) LayerRunner {
-	return func(acc Accelerator, l dnn.Layer, mode Mode, r *LayerResult) error {
-		return runLayer(acc, l, mode, rec, r)
+	return func(acc Accelerator, l *dnn.Layer, mode Mode, r *LayerResult) error {
+		return runLayer(&acc, l, mode, rec, r)
 	}
 }
 
-// runLayerNop is the default LayerRunner: the unobserved scalar kernel.
-func runLayerNop(acc Accelerator, l dnn.Layer, mode Mode, r *LayerResult) error {
-	return runLayer(acc, l, mode, obs.Nop(), r)
-}
-
-// runLayer is the scalar layer kernel. It overwrites every field of r, so a
-// caller may reuse one slot across layers; on error r is left untouched.
-func runLayer(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder, r *LayerResult) error {
+// runLayer is the scalar layer kernel. On success it overwrites every field
+// of r, refilling r.Profile.Flows and r.FlowSecs in place when they have the
+// capacity, so a caller may reuse one slot it owns across layers; on error r
+// is left untouched. l may point at r.Layer.
+func runLayer(acc *Accelerator, l *dnn.Layer, mode Mode, rec obs.Recorder, r *LayerResult) error {
 	enabled := rec.Enabled()
 	var mapStart time.Time
 	if enabled {
 		mapStart = time.Now()
 	}
-	p, err := acc.Flow.Map(l, acc.Arch)
-	if err != nil {
-		return fmt.Errorf("sim: mapping %s on %s: %w", l.Name, acc.Name(), err)
+	p := &r.Profile
+	if err := dataflow.MapInto(acc.Flow, l, &acc.Arch, p); err != nil {
+		return fmt.Errorf("sim: mapping %s on %s: %w", l.Name, acc.Arch.Name, err)
 	}
 	if enabled {
 		rec.Observe("spacx_sim_layer_mapping_seconds", time.Since(mapStart).Seconds())
-		dataflow.RecordProfile(rec, p, acc.Arch)
+		dataflow.RecordProfile(rec, *p, acc.Arch)
 	}
 	net := acc.Arch.Net
 
-	r.Layer, r.Profile = l, p
+	if l != &r.Layer {
+		r.Layer = *l
+	}
 	r.ComputeSec = float64(p.VectorSteps) / acc.Arch.ClockHz
 
 	// Fold flows into the overlappable pools. The pooling arithmetic lives
-	// in dataflow.MeasureFlows, shared with the batch kernel's cohort
+	// in dataflow.MeasureFlowsInto, shared with the batch kernel's cohort
 	// prelude so the scalar and batched paths cannot drift apart.
-	fc := dataflow.MeasureFlows(net, p.Flows)
+	fc := dataflow.FlowCost{Times: r.FlowSecs}
+	dataflow.MeasureFlowsInto(&fc, net, p.Flows)
 	r.InputSec, r.OutputSec, r.NetDynamic = fc.InputSec, fc.OutputSec, fc.Dynamic
 	r.FlowSecs = fc.Times
 	if enabled {
@@ -195,7 +195,7 @@ func runLayer(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder, r *Laye
 	}
 
 	// DRAM traffic per residency mode.
-	r.DRAMBytes = dramBytes(l, acc.Arch, mode)
+	r.DRAMBytes = dramBytes(l, &acc.Arch, mode)
 	r.DRAMSec = float64(r.DRAMBytes) / energy.DRAMBandwidthBytesPerSec
 
 	// Serial overheads: optical retuning and first/last packet flight.
@@ -255,7 +255,7 @@ func runLayer(acc Accelerator, l dnn.Layer, mode Mode, rec obs.Recorder, r *Laye
 }
 
 // dramBytes computes the off-chip traffic of one layer instance.
-func dramBytes(l dnn.Layer, a dataflow.Arch, mode Mode) int64 {
+func dramBytes(l *dnn.Layer, a *dataflow.Arch, mode Mode) int64 {
 	weights := l.WeightCount() * dataflow.WeightBytes
 	ifmaps := l.IfmapCount() * dataflow.IfmapBytes
 	ofmaps := l.OfmapCount() * dataflow.OutputBytes
@@ -280,9 +280,12 @@ func Run(acc Accelerator, m dnn.Model, mode Mode) (ModelResult, error) {
 	return Request{Accel: acc, Model: m, Mode: mode}.Run(nil)
 }
 
-// LayerRunner evaluates one layer instance into the caller's r, overwriting
-// every field on success. Request.Run and Request.Totals thread a custom
+// LayerRunner evaluates the layer instance *l into the caller's r,
+// overwriting every field on success; l may point at r.Layer, where
+// Request.Run and Request.Totals build each layer. They thread a custom
 // runner through the model aggregation so memoizing engines (internal/exp)
 // can substitute cached layer evaluations without duplicating — and risking
-// drift from — the aggregation arithmetic.
-type LayerRunner func(acc Accelerator, l dnn.Layer, mode Mode, r *LayerResult) error
+// drift from — the aggregation arithmetic. The accelerator comes by value: a
+// pointer passed through a func-value call escapes, and would move the whole
+// Request to the heap.
+type LayerRunner func(acc Accelerator, l *dnn.Layer, mode Mode, r *LayerResult) error

@@ -9,8 +9,8 @@ package sim
 // simple induction loops over adjacent memory the compiler can vectorize.
 //
 // The scalar path's FlowSecs slices are carved by the float slab in
-// internal/dataflow (see MeasureFlows), next to the flow slab they ride
-// with.
+// internal/dataflow (see MeasureFlowsInto), next to the flow slab they ride
+// with, or refilled in place in Request.Totals' one reused slot.
 func newColumns(n, k int) [][]float64 {
 	cols := make([][]float64, k)
 	if n == 0 {

@@ -119,6 +119,7 @@ type ThermalStepper struct {
 	coupler *thermal.Coupler
 	base    thermal.OperatingPoint // full-load point; Utilization/HeatingW vary per step
 	timeSec float64
+	src     []float64 // the heat-source vector, refilled by Step and RunSteady
 }
 
 // thermalPlanSpec derives the floorplan spec for an accelerator: its chiplet
@@ -205,10 +206,11 @@ func NewThermalStepper(acc Accelerator, res ModelResult, cfg ThermalConfig) (*Th
 	// both the initial condition and the ring calibration temperature.
 	idle := s.base
 	idle.Utilization = 0
-	src, err := net.Sources(idle)
+	src, err := net.Sources(nil, idle)
 	if err != nil {
 		return nil, fmt.Errorf("sim: %w", err)
 	}
+	s.src = src
 	temps, err := net.SteadyState(src)
 	if err != nil {
 		return nil, fmt.Errorf("sim: idle equilibrium: %w", err)
@@ -267,10 +269,11 @@ func (s *ThermalStepper) Step(offeredUtil, dt float64) (ThermalSample, error) {
 	op := s.base
 	op.Utilization = achieved
 	op.HeatingW = fb.HeatingW
-	src, err := s.net.Sources(op)
+	src, err := s.net.Sources(s.src, op)
 	if err != nil {
 		return ThermalSample{}, fmt.Errorf("sim: %w", err)
 	}
+	s.src = src
 	if err := s.net.Advance(src, dt); err != nil {
 		return ThermalSample{}, fmt.Errorf("sim: %w", err)
 	}
@@ -305,10 +308,11 @@ func (s *ThermalStepper) RunSteady(offeredUtil float64) (ThermalSample, error) {
 		op := s.base
 		op.Utilization = achieved
 		op.HeatingW = fb.HeatingW
-		src, err := s.net.Sources(op)
+		src, err := s.net.Sources(s.src, op)
 		if err != nil {
 			return ThermalSample{}, fmt.Errorf("sim: %w", err)
 		}
+		s.src = src
 		next, err := s.net.SteadyState(src)
 		if err != nil {
 			return ThermalSample{}, fmt.Errorf("sim: %w", err)

@@ -69,13 +69,19 @@ func (op OperatingPoint) TotalW() float64 {
 // network: activity-proportional power scaled by utilization and split
 // between the chiplet tiles (uniformly) and the GB die, the on-die laser
 // share deposited on the interposer (the waveguides live there), and the
-// heater power split chiplets/GB. The returned slice is freshly allocated
-// and indexed in the network's node order.
-func (n *Network) Sources(op OperatingPoint) ([]float64, error) {
+// heater power split chiplets/GB. The vector is indexed in the network's
+// node order. It is written into dst when dst has room for every node, and
+// into a new slice otherwise, so a caller stepping the network passes the
+// previous vector back and allocates once.
+func (n *Network) Sources(dst []float64, op OperatingPoint) ([]float64, error) {
 	if err := op.Validate(); err != nil {
 		return nil, err
 	}
-	src := make([]float64, len(n.temps))
+	src := dst[:0]
+	if cap(src) < len(n.temps) {
+		src = make([]float64, len(n.temps))
+	}
+	src = src[:len(n.temps)]
 	u := op.Utilization
 
 	chipletsW := u*(op.ComputeW*(1-op.GBFrac)+op.NetDynamicW*(1-op.NetGBFrac)) +
@@ -89,5 +95,6 @@ func (n *Network) Sources(op OperatingPoint) ([]float64, error) {
 	}
 	src[n.gb] = gbW
 	src[n.interposer] = op.LaserW * op.OnDieLaserFrac
+	src[n.ambient] = 0
 	return src, nil
 }

@@ -45,7 +45,7 @@ func TestSourcesConservePower(t *testing.T) {
 		LaserW: 12, OnDieLaserFrac: 0.08,
 		HeatingW: 2.4, HeatingGBFrac: 0.35,
 	}
-	src, err := n.Sources(op)
+	src, err := n.Sources(nil, op)
 	if err != nil {
 		t.Fatalf("Sources: %v", err)
 	}
@@ -78,7 +78,7 @@ func TestSourcesConservePower(t *testing.T) {
 	// Utilization scales the dynamic parts only.
 	op2 := op
 	op2.Utilization = 0
-	src2, err := n.Sources(op2)
+	src2, err := n.Sources(nil, op2)
 	if err != nil {
 		t.Fatalf("Sources: %v", err)
 	}
@@ -93,7 +93,7 @@ func TestSourcesConservePower(t *testing.T) {
 
 func TestSourcesRejectBadPoint(t *testing.T) {
 	n := testNetwork(t, 16)
-	if _, err := n.Sources(OperatingPoint{Utilization: -1}); err == nil {
+	if _, err := n.Sources(nil, OperatingPoint{Utilization: -1}); err == nil {
 		t.Error("Sources accepted invalid operating point")
 	}
 }
