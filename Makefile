@@ -63,6 +63,7 @@ cover:
 
 fuzz:
 	go test ./internal/dataflow -run '^$$' -fuzz FuzzTiling -fuzztime=10s
+	go test ./internal/eventsim -run '^$$' -fuzz FuzzEventHeap -fuzztime=10s
 	go test ./internal/sim -run '^$$' -fuzz FuzzRunBatch -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSimulateRequest -fuzztime=10s
 	go test ./internal/serve -run '^$$' -fuzz FuzzSweepPoint -fuzztime=10s
@@ -79,7 +80,7 @@ bench:
 # /v1/thermal body writer.
 BENCH_EVENTSIM_CMD = go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/eventsim/
 BENCH_SIM_CMD = { go test -run=NONE -bench=. -benchmem -benchtime=200ms ./internal/sim/; \
-	go test -run=NONE -bench='Fig16Cold|Fig16LatencyThroughput|SingleLayerSPACX' -benchmem -benchtime=200ms .; \
+	go test -run=NONE -bench='Fig16Cold|SingleLayerSPACX' -benchmem -benchtime=200ms .; \
 	go test -run=NONE -bench='ThermalReportWrite' -benchmem -benchtime=200ms ./internal/exp/; }
 
 # Regenerate the committed baselines after a deliberate performance change.

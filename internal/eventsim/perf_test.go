@@ -171,33 +171,92 @@ func TestDifferentialReference(t *testing.T) {
 	}
 }
 
-// TestEventHeapMatchesContainerHeap drives the packed event heap and
-// container/heap through the same random interleaving of pushes and pops,
-// with times drawn from four values so most comparisons are ties, and
-// requires both to pop the same packets in the same order. The event-loop
-// comparison above reaches only the ties its load happens to produce.
-func TestEventHeapMatchesContainerHeap(t *testing.T) {
-	r := newRNG(3)
-	pkts := make([]refPacket, 5000)
+// heapOrderPackets is how many events checkHeapOrder pushes.
+const heapOrderPackets = 5000
+
+// checkHeapOrder drives the packed event heap and container/heap through
+// the same random interleaving of pushes and pops, and requires both to pop
+// the same packets in the same order. Each time is one of distinct values,
+// so a small count makes most comparisons ties. While packets remain, a step
+// pushes with odds pushNum/pushDen (always when the heap is empty) and pops
+// otherwise; then the heap drains. It returns how many pops found exactly
+// three events, where the sift compares the vacated slot's +Inf as the
+// root's right child.
+func checkHeapOrder(t testing.TB, seed, distinct, pushNum, pushDen uint64) (popsAtThree int) {
+	t.Helper()
+	r := newRNG(seed)
+	pkts := make([]refPacket, heapOrderPackets)
 	var h eventHeap
 	h.reset(len(pkts))
 	var ref refHeap
 	next := 0
 	for next < len(pkts) || h.len() > 0 {
-		if next < len(pkts) && (h.len() == 0 || r.next()%3 != 0) {
-			at := float64(r.next() % 4)
+		if next < len(pkts) && (h.len() == 0 || r.next()%pushDen >= pushDen-pushNum) {
+			at := float64(r.next() % distinct)
 			h.push(at, int32(next))
 			heap.Push(&ref, refEvent{time: at, pkt: &pkts[next]})
 			next++
 			continue
 		}
+		if h.len() == 3 {
+			popsAtThree++
+		}
 		at, pkt := h.pop()
 		want := heap.Pop(&ref).(refEvent)
 		if at != want.time || &pkts[pkt] != want.pkt {
-			t.Fatalf("after %d pushes: popped packet %d at %v, container/heap popped another at %v",
-				next, pkt, at, want.time)
+			t.Fatalf("seed %d, %d times, push odds %d/%d, after %d pushes: popped packet %d at %v, container/heap popped another at %v",
+				seed, distinct, pushNum, pushDen, next, pkt, at, want.time)
 		}
 	}
+	return popsAtThree
+}
+
+// heapOrderRows are checkHeapOrder's inputs: the first is the original
+// mostly-ties interleaving, then all-equal times, and push odds below one
+// half, which keep the heap at a few events so it keeps draining through
+// sizes 0-2 (minAtThree pins that it does). The generator is an LCG, whose
+// low bits cycle with a short period, so the rows' moduli are odd.
+var heapOrderRows = []struct {
+	name                             string
+	seed, distinct, pushNum, pushDen uint64
+	minAtThree                       int
+}{
+	{"four times, push 2/3", 3, 4, 2, 3, 0},
+	{"all equal, push 2/3", 5, 1, 2, 3, 0},
+	{"all equal, push 1/3", 7, 1, 1, 3, heapOrderPackets / 10},
+	{"three times, push 3/7", 11, 3, 3, 7, heapOrderPackets / 10},
+	{"four times, push 1/3", 13, 4, 1, 3, heapOrderPackets / 10},
+	{"distinct times, push 2/5", 17, 1_000_003, 2, 5, heapOrderPackets / 10},
+}
+
+// TestEventHeapMatchesContainerHeap pins the packed heap's pop order to
+// container/heap's on every heapOrderRows input. The event-loop comparison
+// above reaches only the ties its load happens to produce.
+func TestEventHeapMatchesContainerHeap(t *testing.T) {
+	for _, row := range heapOrderRows {
+		t.Run(row.name, func(t *testing.T) {
+			n := checkHeapOrder(t, row.seed, row.distinct, row.pushNum, row.pushDen)
+			if n < row.minAtThree {
+				t.Errorf("%d pops from a heap of 3 events, want at least %d", n, row.minAtThree)
+			}
+		})
+	}
+}
+
+// FuzzEventHeap runs checkHeapOrder on any seed, time count and push odds
+// (the denominator folded into 1..16).
+func FuzzEventHeap(f *testing.F) {
+	for _, row := range heapOrderRows {
+		f.Add(row.seed, row.distinct, row.pushNum, row.pushDen)
+	}
+	f.Fuzz(func(t *testing.T, seed, distinct, pushNum, pushDen uint64) {
+		if distinct == 0 {
+			distinct = 1
+		}
+		pushDen = 1 + (pushDen-1)%16
+		pushNum %= pushDen + 1
+		checkHeapOrder(t, seed, distinct, pushNum, pushDen)
+	})
 }
 
 // TestBuilderGroupNames pins the grouped station families of the three

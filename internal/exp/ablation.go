@@ -81,7 +81,7 @@ func GranularityTradeoff() ([]GranularityTradeoffRow, error) {
 		if err != nil {
 			return GranularityTradeoffRow{}, err
 		}
-		r, err := runModelCached(acc, res, sim.WholeInference)
+		r, err := sim.Request{Accel: acc, Model: res, Mode: sim.WholeInference}.Totals(nil)
 		if err != nil {
 			return GranularityTradeoffRow{}, err
 		}

@@ -1,8 +1,8 @@
 // Package engine is the concurrent sweep machinery behind the experiment
 // drivers in internal/exp: a worker-pool map whose results are
-// index-addressed (so a parallel sweep emits bit-identical output to the
-// sequential one), and a memoization cache for repeated deterministic
-// evaluations such as dataflow mapping searches.
+// index-addressed, so a parallel sweep emits bit-identical output to the
+// sequential one. It caches nothing; a sweep that revisits a point
+// evaluates it again.
 //
 // Every driver follows the same shape: enumerate the sweep grid up front,
 // evaluate each independent point through Map, then fold the index-addressed
@@ -105,66 +105,4 @@ func ForEach(ctx context.Context, workers, n int, fn func(i int) error) error {
 		}
 	}
 	return nil
-}
-
-// Cache memoizes a deterministic computation per comparable key. Concurrent
-// callers of the same key share one computation (the rest block until it
-// finishes), so a sweep that revisits a (config, layer, mode) point pays for
-// it once. Errors are cached like values: a deterministic computation that
-// failed once will fail identically every time.
-type Cache[K comparable, V any] struct {
-	mu sync.Mutex
-	m  map[K]*cacheEntry[V]
-}
-
-type cacheEntry[V any] struct {
-	once sync.Once
-	v    V
-	err  error
-}
-
-// Do returns the cached result for key, computing and storing it on first
-// use.
-func (c *Cache[K, V]) Do(key K, compute func() (V, error)) (V, error) {
-	e := c.entry(key)
-	e.once.Do(func() { e.v, e.err = compute() })
-	return e.v, e.err
-}
-
-// Put stores a precomputed result for key, winning only if no computation
-// for that key has completed or started. Callers that evaluate a key outside
-// Do use it to seed the cache (the Fig 16 packet-run memo stores observed
-// runs this way); a concurrent Do for the same key blocks until the Put
-// lands and then returns the seeded value.
-func (c *Cache[K, V]) Put(key K, v V, err error) {
-	e := c.entry(key)
-	e.once.Do(func() { e.v, e.err = v, err })
-}
-
-func (c *Cache[K, V]) entry(key K) *cacheEntry[V] {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = make(map[K]*cacheEntry[V])
-	}
-	e, ok := c.m[key]
-	if !ok {
-		e = &cacheEntry[V]{}
-		c.m[key] = e
-	}
-	c.mu.Unlock()
-	return e
-}
-
-// Len reports how many keys have been interned (including in-flight ones).
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
-}
-
-// Reset drops every memoized entry.
-func (c *Cache[K, V]) Reset() {
-	c.mu.Lock()
-	c.m = nil
-	c.mu.Unlock()
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -90,68 +89,6 @@ func TestMapUsesBoundedWorkers(t *testing.T) {
 	}
 }
 
-func TestCacheComputesOncePerKey(t *testing.T) {
-	var c Cache[int, int]
-	var computes atomic.Int64
-	err := ForEach(context.Background(), 8, 100, func(i int) error {
-		v, err := c.Do(i%5, func() (int, error) {
-			computes.Add(1)
-			return (i % 5) * 10, nil
-		})
-		if err != nil {
-			return err
-		}
-		if v != (i%5)*10 {
-			return fmt.Errorf("key %d: got %d", i%5, v)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if computes.Load() != 5 {
-		t.Errorf("computed %d times for 5 keys", computes.Load())
-	}
-	if c.Len() != 5 {
-		t.Errorf("cache holds %d keys, want 5", c.Len())
-	}
-}
-
-func TestCacheCachesErrors(t *testing.T) {
-	var c Cache[string, int]
-	var computes int
-	for i := 0; i < 3; i++ {
-		_, err := c.Do("k", func() (int, error) {
-			computes++
-			return 0, errors.New("deterministic failure")
-		})
-		if err == nil {
-			t.Fatal("expected the cached error")
-		}
-	}
-	if computes != 1 {
-		t.Errorf("failing computation ran %d times, want 1", computes)
-	}
-}
-
-func TestCacheReset(t *testing.T) {
-	var c Cache[int, int]
-	if _, err := c.Do(1, func() (int, error) { return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	c.Reset()
-	if c.Len() != 0 {
-		t.Errorf("len after reset = %d", c.Len())
-	}
-	recomputed := false
-	if _, err := c.Do(1, func() (int, error) { recomputed = true; return 1, nil }); err != nil {
-		t.Fatal(err)
-	}
-	if !recomputed {
-		t.Error("reset did not drop the entry")
-	}
-}
-
 func TestMapNilContextMeansBackground(t *testing.T) {
 	got, err := Map(nil, 4, 10, func(i int) (int, error) { return i, nil })
 	if err != nil || len(got) != 10 {
@@ -207,63 +144,5 @@ func TestForEachPreCancelledRunsNothing(t *testing.T) {
 	}
 	if ran.Load() != 0 {
 		t.Errorf("%d points ran under a pre-cancelled context", ran.Load())
-	}
-}
-
-func TestCachePutAndCached(t *testing.T) {
-	var c Cache[string, int]
-	noCompute := func() (int, error) {
-		t.Fatal("Do must not recompute a seeded key")
-		return 0, nil
-	}
-	c.Put("a", 42, nil)
-	// A Put result short-circuits Do without recomputing.
-	if v, err := c.Do("a", noCompute); err != nil || v != 42 {
-		t.Fatalf("Do after Put = %d, %v", v, err)
-	}
-	// First writer wins; a later Put loses to the existing entry.
-	c.Put("a", 7, nil)
-	if v, _ := c.Do("a", noCompute); v != 42 {
-		t.Fatalf("second Put must lose: got %d", v)
-	}
-	// A Put never overrides a computed entry either.
-	if v, _ := c.Do("c", func() (int, error) { return 1, nil }); v != 1 {
-		t.Fatalf("Do computed %d, want 1", v)
-	}
-	c.Put("c", 2, nil)
-	if v, _ := c.Do("c", noCompute); v != 1 {
-		t.Fatalf("Put after Do must lose: got %d", v)
-	}
-	// A seeded error is memoized like a computed one.
-	boom := errors.New("boom")
-	c.Put("b", 0, boom)
-	if _, err := c.Do("b", noCompute); err != boom {
-		t.Fatalf("Do must return the seeded error, got %v", err)
-	}
-}
-
-func TestCachePutConcurrentWithDo(t *testing.T) {
-	var c Cache[int, int]
-	var wg sync.WaitGroup
-	for g := 0; g < 32; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			if g%2 == 0 {
-				c.Put(1, 5, nil)
-			} else {
-				if v, err := c.Do(1, func() (int, error) { return 5, nil }); err != nil || v != 5 {
-					t.Errorf("Do = %d, %v", v, err)
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	v, err := c.Do(1, func() (int, error) {
-		t.Fatal("Do must not recompute a settled key")
-		return 0, nil
-	})
-	if err != nil || v != 5 {
-		t.Fatalf("Do = %d, %v", v, err)
 	}
 }

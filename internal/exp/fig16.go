@@ -1,15 +1,12 @@
 package exp
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"sync"
 
 	"spacx/internal/dnn"
 	"spacx/internal/eventsim"
-	"spacx/internal/exp/engine"
 	"spacx/internal/network"
 	"spacx/internal/obs"
 	"spacx/internal/sim"
@@ -52,18 +49,12 @@ func loadFor(acc sim.Accelerator, m dnn.Model) (fig16Load, error) {
 	out.broadcast = caps.CrossChipletBroadcast || caps.SingleChipletBroadcast
 	var injected, received int64
 	for _, l := range m.Layers {
-		r, err := layerCached(acc, l, sim.WholeInference)
+		r, err := sim.RunLayer(acc, l, sim.WholeInference)
 		if err != nil {
 			return fig16Load{}, err
 		}
 		out.execSec += r.ExecSec * float64(l.Repeat)
-		// The layer memo keeps no mapping, so map the layer here for its
-		// flows.
-		p, err := acc.Flow.Map(l, acc.Arch)
-		if err != nil {
-			return fig16Load{}, err
-		}
-		for _, f := range p.Flows {
+		for _, f := range r.Profile.Flows {
 			ff := f.Normalize()
 			b := ff.UniqueBytes * int64(l.Repeat)
 			if out.broadcast {
@@ -99,7 +90,7 @@ type builtSim struct {
 // time (exactly one per accelerator at -j 1), and the other models reuse its
 // stations and packet arena. Sim.Run resets every station and buffer it
 // touches; the RNG is the only state that survives a run, and
-// packetRunUncached reseeds it, so a reused simulator behaves identically to
+// packetRun reseeds it, so a reused simulator behaves identically to
 // a freshly built one.
 type simList struct {
 	mu   sync.Mutex
@@ -163,94 +154,14 @@ func buildNetwork(s *eventsim.Sim, acc sim.Accelerator) (func(int) []*eventsim.S
 	}
 }
 
-// packetKey identifies one deterministic event-simulation run: the full
-// accelerator configuration (geometry and network fingerprint — the station
-// pipeline is a pure function of these), the model (name plus a hash of
-// every layer field, since the injected traffic derives from the layers),
-// and the packet budget and seed. Identical keys replay the identical event
-// schedule and drain identical statistics.
-type packetKey struct {
-	arch     string
-	net      string
-	flow     string
-	m, n     int
-	vecWidth int
-	clockHz  float64
-	peBuf    int
-	gb       int
-	gef, gk  int
-	model    string
-	layers   uint64
-	packets  int
-	seed     uint64
-}
-
-func packetKeyFor(acc sim.Accelerator, m dnn.Model, packets int, seed uint64) (packetKey, bool) {
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
-	if !ok {
-		return packetKey{}, false
-	}
-	h := fnv.New64a()
-	var b [8]byte
-	word := func(v int64) {
-		binary.LittleEndian.PutUint64(b[:], uint64(v))
-		h.Write(b[:])
-	}
-	for _, l := range m.Layers {
-		h.Write([]byte(l.Name))
-		for _, v := range []int{
-			int(l.Kind), l.R, l.S, l.C, l.K, l.H, l.W, l.E, l.F,
-			l.Stride, l.Pad, l.Groups, l.Repeat, l.Batch,
-		} {
-			word(int64(v))
-		}
-	}
-	return packetKey{
-		arch: acc.Arch.Name, net: fp, flow: acc.Flow.Name(),
-		m: acc.Arch.M, n: acc.Arch.N,
-		vecWidth: acc.Arch.VectorWidth, clockHz: acc.Arch.ClockHz,
-		peBuf: acc.Arch.PEBufBytes, gb: acc.Arch.GBBytes,
-		gef: acc.Arch.GEF, gk: acc.Arch.GK,
-		model: m.Name, layers: h.Sum64(),
-		packets: packets, seed: seed,
-	}, true
-}
-
-// packetCache memoizes drained event-simulation statistics. Stats is a flat
-// value struct, so sharing it is invisible in the output; the dominant Fig16
-// cost — millions of event-queue operations per (model, accelerator) point —
-// is paid once per configuration instead of once per call.
-var packetCache engine.Cache[packetKey, eventsim.Stats]
-
-// packetRun is packetRunUncached memoized on the full run configuration;
-// a run the memo misses takes its simulator from sims.
-// Observed runs (rec enabled) execute uncached — the per-packet histograms
-// and utilization gauges are a side effect the cache cannot replay — but
-// still seed the cache for later unobserved callers.
+// packetRun injects the model's own traffic volume over its own execution
+// window through the accelerator's station pipeline, on a simulator taken
+// from sims, and returns the drained statistics; rec (nil means none)
+// observes per-packet latency and station utilization.
 func packetRun(sims *simList, acc sim.Accelerator, m dnn.Model, packets int, seed uint64, rec obs.Recorder) (eventsim.Stats, error) {
 	if rec == nil {
 		rec = obs.Nop()
 	}
-	k, ok := packetKeyFor(acc, m, packets, seed)
-	if !ok {
-		return packetRunUncached(sims, acc, m, packets, seed, rec)
-	}
-	if rec.Enabled() {
-		stats, err := packetRunUncached(sims, acc, m, packets, seed, rec)
-		if err == nil {
-			packetCache.Put(k, stats, nil)
-		}
-		return stats, err
-	}
-	return packetCache.Do(k, func() (eventsim.Stats, error) {
-		return packetRunUncached(sims, acc, m, packets, seed, rec)
-	})
-}
-
-// packetRunUncached injects the model's own traffic volume over its own
-// execution window through the accelerator's station pipeline and returns the
-// drained statistics; rec observes per-packet latency and station utilization.
-func packetRunUncached(sims *simList, acc sim.Accelerator, m dnn.Model, packets int, seed uint64, rec obs.Recorder) (eventsim.Stats, error) {
 	load, err := loadFor(acc, m)
 	if err != nil {
 		return eventsim.Stats{}, err
@@ -305,8 +216,8 @@ func packetRunUncached(sims *simList, acc sim.Accelerator, m dnn.Model, packets 
 // traffic on the accelerator's network (the Figure 16 methodology for a
 // single accelerator), populating packet-latency and queue-wait histograms
 // plus station-utilization gauges through rec. The CLIs use it to include
-// event-simulation data in a -metrics snapshot. A run the packet memo
-// misses builds its own simulator, on a simList of its own.
+// event-simulation data in a -metrics snapshot. Each call builds its own
+// simulator, on a simList of its own.
 func NetworkProbe(acc sim.Accelerator, m dnn.Model, packets int, rec obs.Recorder) (eventsim.Stats, error) {
 	if packets <= 0 {
 		packets = 20000

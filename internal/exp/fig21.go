@@ -99,7 +99,7 @@ func Fig21bBreakdown() ([]Fig21b, error) {
 		if err != nil {
 			return Fig21b{}, err
 		}
-		r, err := runModelCached(acc, dnn.ResNet50(), sim.WholeInference)
+		r, err := sim.Request{Accel: acc, Model: dnn.ResNet50(), Mode: sim.WholeInference}.Totals(nil)
 		if err != nil {
 			return Fig21b{}, err
 		}

@@ -23,8 +23,8 @@ type Fig22Row struct {
 
 // Fig22 sweeps the chiplet count and PE count as in the paper: M in
 // {16, 32, 64} with N=32, and N in {16, 32, 64} with M=32. The fifteen
-// (size, accelerator) points run across the worker pool, unmemoized and
-// through sim.ObservedRunner, so an installed recorder sees every layer's
+// (size, accelerator) points run across the worker pool through
+// sim.ObservedRunner, so an installed recorder sees every layer's
 // spacx_sim_* series (the obs registry is mutex-guarded, and per-point
 // timers are started and stopped on the same goroutine).
 func Fig22() ([]Fig22Row, error) {
@@ -35,7 +35,7 @@ func Fig22() ([]Fig22Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	base, err := runModelCached(baseAcc, res, sim.WholeInference)
+	base, err := sim.Request{Accel: baseAcc, Model: res, Mode: sim.WholeInference}.Totals(nil)
 	if err != nil {
 		return nil, err
 	}

@@ -42,11 +42,11 @@ func Fig13And14() ([]LayerRow, error) {
 	}
 	results, err := mapPoints("fig13", len(layers)*len(accs), func(i int) (sim.LayerOutcome, error) {
 		l, acc := layers[i/len(accs)], accs[i%len(accs)]
-		r, err := layerCached(acc, l, sim.LayerByLayer)
+		r, err := sim.RunLayer(acc, l, sim.LayerByLayer)
 		if err != nil {
 			return sim.LayerOutcome{}, fmt.Errorf("exp: fig13 %s on %s: %w", l.Name, acc.Name(), err)
 		}
-		return r, nil
+		return r.LayerOutcome, nil
 	})
 	if err != nil {
 		return nil, err

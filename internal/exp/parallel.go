@@ -5,8 +5,6 @@ import (
 	"runtime"
 
 	"spacx/internal/dnn"
-	"spacx/internal/exp/engine"
-	"spacx/internal/network"
 	"spacx/internal/sim"
 )
 
@@ -28,109 +26,15 @@ func SetParallelism(n int) {
 	parallelism = n
 }
 
-// layerKey identifies one memoizable layer evaluation: the accelerator
-// configuration (architecture geometry, buffer sizes, dataflow, and the
-// network fingerprint), the layer shape, and the residency mode. Every field
-// that can change a LayerResult is part of the key.
-type layerKey struct {
-	arch     string
-	net      string
-	flow     string
-	m, n     int
-	vecWidth int
-	clockHz  float64
-	peBuf    int
-	gb       int
-	gef, gk  int
-	layer    dnn.Layer
-	mode     sim.Mode
-}
+// ResetCaches does nothing: every layer and packet run is evaluated
+// directly, and no cache is kept between calls. It remains because the
+// end-to-end benchmark (e2ebench/) still calls it before a cold report.
+func ResetCaches() {}
 
-func keyFor(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (layerKey, bool) {
-	fp, ok := network.FingerprintOf(acc.Arch.Net)
-	if !ok {
-		return layerKey{}, false
-	}
-	return layerKey{
-		arch: acc.Arch.Name, net: fp, flow: acc.Flow.Name(),
-		m: acc.Arch.M, n: acc.Arch.N,
-		vecWidth: acc.Arch.VectorWidth, clockHz: acc.Arch.ClockHz,
-		peBuf: acc.Arch.PEBufBytes, gb: acc.Arch.GBBytes,
-		gef: acc.Arch.GEF, gk: acc.Arch.GK,
-		layer: l, mode: mode,
-	}, true
-}
-
-// layerCache memoizes analytical layer evaluations across drivers: the
-// figure grids revisit the same (accelerator, layer, mode) points many times
-// (Fig 13 and Fig 15 share models, the adaptive study re-runs every layer on
-// 16 granularities, Fig 16's load derivation replays whole models). Results
-// are deterministic, so sharing them is invisible in the output. An entry
-// holds only the layer's scalar outcome (sim.LayerOutcome), never its
-// mapping: no driver reads the mapping, so the memo's heap stays at the
-// scalars.
-var layerCache engine.Cache[layerKey, sim.LayerOutcome]
-
-// detailedCache memoizes epoch-pipelined detailed-engine outcomes, which
-// EngineAgreement pairs with the analytical ones.
-var detailedCache engine.Cache[layerKey, sim.LayerOutcome]
-
-// ResetCaches drops all memoized layer and packet-simulation evaluations.
-// Tests use it to time cold sweeps and to prove parallel == sequential from
-// a cold start.
-func ResetCaches() {
-	layerCache.Reset()
-	detailedCache.Reset()
-	packetCache.Reset()
-}
-
-// CacheSize reports how many layer evaluations are currently memoized.
-func CacheSize() int { return layerCache.Len() + detailedCache.Len() }
-
-// layerCached is the memoized scalar outcome of sim.RunLayer, the one way
-// every driver evaluates a layer. Accelerators whose network model has no
-// fingerprint are evaluated directly (never cached).
-func layerCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerOutcome, error) {
-	return memoized(&layerCache, sim.RunLayer, acc, l, mode)
-}
-
-// detailedCached is the memoized scalar outcome of sim.RunLayerDetailed.
-func detailedCached(acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerOutcome, error) {
-	return memoized(&detailedCache, sim.RunLayerDetailed, acc, l, mode)
-}
-
-func memoized(c *engine.Cache[layerKey, sim.LayerOutcome],
-	run func(sim.Accelerator, dnn.Layer, sim.Mode) (sim.LayerResult, error),
-	acc sim.Accelerator, l dnn.Layer, mode sim.Mode) (sim.LayerOutcome, error) {
-	eval := func() (sim.LayerOutcome, error) {
-		r, err := run(acc, l, mode)
-		return r.LayerOutcome, err
-	}
-	k, ok := keyFor(acc, l, mode)
-	if !ok {
-		return eval()
-	}
-	return c.Do(k, eval)
-}
-
-// runLayerCached is the memoized sim.LayerRunner the model drivers
-// aggregate through: it rebuilds r from the key's layer and the cached
-// scalars, so r carries no mapping (Profile and FlowSecs are zero).
-func runLayerCached(acc sim.Accelerator, l *dnn.Layer, mode sim.Mode, r *sim.LayerResult) error {
-	o, err := layerCached(acc, *l, mode)
-	if err != nil {
-		return err
-	}
-	*r = sim.LayerResult{Layer: *l, LayerOutcome: o}
-	return nil
-}
-
-// runModelCached is sim.Run's totals with every layer evaluation memoized:
-// the aggregation goes through sim.Request.Totals, so every total is
-// bit-identical to sim.Run's, and the result keeps no per-layer slice.
-func runModelCached(acc sim.Accelerator, m dnn.Model, mode sim.Mode) (sim.ModelResult, error) {
-	return sim.Request{Accel: acc, Model: m, Mode: mode}.Totals(runLayerCached)
-}
+// CacheSize always reports 0, since nothing in this package memoizes an
+// evaluation. It remains because the end-to-end benchmark (e2ebench/)
+// still reads it.
+func CacheSize() int { return 0 }
 
 // runGrid evaluates every (model, accelerator) pair of a sweep across the
 // worker pool and returns results indexed [model][accelerator]. The drivers'
@@ -140,7 +44,7 @@ func runGrid(sweep string, models []dnn.Model, accs []sim.Accelerator, mode sim.
 	flat, err := mapPoints(sweep, len(models)*len(accs), func(i int) (sim.ModelResult, error) {
 		m := models[i/len(accs)]
 		acc := accs[i%len(accs)]
-		r, err := runModelCached(acc, m, mode)
+		r, err := sim.Request{Accel: acc, Model: m, Mode: mode}.Totals(nil)
 		if err != nil {
 			return sim.ModelResult{}, fmt.Errorf("exp: %s on %s: %w", m.Name, acc.Name(), err)
 		}

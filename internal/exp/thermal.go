@@ -330,7 +330,7 @@ func ThermalReplay(cfg ThermalReplayConfig) (*ThermalReport, error) {
 	acc := sim.SPACXAccel()
 	var rep *ThermalReport
 	err = point("thermal", func() error {
-		res, err := runModelCached(acc, cfg.Model, cfg.Mode)
+		res, err := sim.Request{Accel: acc, Model: cfg.Model, Mode: cfg.Mode}.Totals(nil)
 		if err != nil {
 			return fmt.Errorf("exp: thermal base run: %w", err)
 		}
@@ -491,7 +491,7 @@ func ThermalCapacity(m dnn.Model, mode sim.Mode, utils []float64) ([]CapacityRow
 	sort.Float64s(sorted)
 
 	acc := sim.SPACXAccel()
-	res, err := runModelCached(acc, m, mode)
+	res, err := sim.Request{Accel: acc, Model: m, Mode: mode}.Totals(nil)
 	if err != nil {
 		return nil, fmt.Errorf("exp: thermal capacity base run: %w", err)
 	}

@@ -302,7 +302,7 @@ func TestThermalReplayRecordsMetrics(t *testing.T) {
 		}
 		offered[40] = -1
 		acc := sim.SPACXAccel()
-		res, err := runModelCached(acc, cfg.Model, cfg.Mode)
+		res, err := sim.Request{Accel: acc, Model: cfg.Model, Mode: cfg.Mode}.Totals(nil)
 		if err != nil {
 			t.Fatal(err)
 		}

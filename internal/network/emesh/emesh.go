@@ -53,8 +53,8 @@ func Default32() Config {
 // Model implements network.Model for the electrical mesh.
 type Model struct {
 	cfg Config
-	// Derived values frozen at construction: the fingerprint (on the
-	// memoization hot path of the experiment drivers), the hop averages and
+	// Derived values frozen at construction: the fingerprint (read for every
+	// cache key of spacx-serve and every batch cohort), the hop averages and
 	// the packet latency (on the per-layer hot path of sim.RunLayer). Each
 	// is the same float expression evaluated once, so results stay
 	// bit-identical.

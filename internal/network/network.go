@@ -185,11 +185,11 @@ type Model interface {
 }
 
 // Fingerprinter is optionally implemented by network models that can render
-// their entire configuration as a deterministic string. Memoizing sweep
-// engines (internal/exp/engine) key result caches on it; two models with
-// equal fingerprints must produce identical times, energies, and caps for
-// every flow. The empty string means "no fingerprint": such a model is never
-// cached.
+// their entire configuration as a deterministic string. spacx-serve's
+// response cache and the batch kernel's cohorts (internal/sim) key on it;
+// two models with equal fingerprints must produce identical times, energies,
+// and caps for every flow. The empty string means "no fingerprint": such a
+// model is never cached.
 type Fingerprinter interface {
 	Fingerprint() string
 }

@@ -219,14 +219,12 @@ func (m *Manager) Submit(body []byte) (*Job, error) {
 	}
 
 	jctx, cancel := context.WithCancel(m.ctx)
-	tctx, root := m.opts.Traces.StartTrace(jctx, "job:sweep")
 	prog := engine.NewProgress()
 	j := &Job{
 		id:      newJobID(),
 		kind:    "sweep",
 		state:   Pending,
 		created: time.Now().UTC(),
-		traceID: tracing.ID(tctx),
 		total:   sr.Len(),
 		prog:    prog,
 		phase:   prog.Phase("points"),
@@ -238,9 +236,12 @@ func (m *Manager) Submit(body []byte) (*Job, error) {
 	if err := m.admitLocked(); err != nil {
 		m.mu.Unlock()
 		cancel()
-		root.End()
 		return nil, err
 	}
+	// The trace starts only once the job is admitted, so a rejected
+	// submission leaves no trace behind; j is not yet visible to readers.
+	tctx, root := m.opts.Traces.StartTrace(jctx, "job:sweep")
+	j.traceID = tracing.ID(tctx)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.mu.Unlock()

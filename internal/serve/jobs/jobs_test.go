@@ -230,10 +230,14 @@ func TestSubmitNeverExceedsMaxLive(t *testing.T) {
 	if list := m.List(); len(list) != 1 || list[0].ID != admitted[0].ID() {
 		t.Fatalf("list = %+v, want only the admitted job", list)
 	}
-	for _, ts := range traces.List() {
-		if !ts.Complete {
-			t.Errorf("trace %s left open: %+v", ts.ID, ts)
-		}
+	// Only the admitted job starts a trace; a submission rejected at insert
+	// time leaves none behind.
+	list := traces.List()
+	if len(list) != 1 || list[0].Name != "job:sweep" || list[0].ID != admitted[0].Status().TraceID {
+		t.Fatalf("traces = %+v, want exactly the admitted job's job:sweep trace", list)
+	}
+	if !list[0].Complete {
+		t.Errorf("trace %s left open: %+v", list[0].ID, list[0])
 	}
 }
 

@@ -22,8 +22,9 @@ type Point struct {
 // cohortKey identifies a mapping-equivalence class of sweep points: points
 // with equal keys produce identical dataflow mappings, flow geometry, and
 // network timings, so the kernel computes those once per cohort. The key is
-// the experiment engine's memoization key minus Mode and GBBytes — Map reads
-// neither (mappers tile against the PE buffer, not the global buffer); they
+// the accelerator configuration and the layer, without Mode and GBBytes —
+// Map reads neither (mappers tile against the PE buffer, not the global
+// buffer); they
 // only steer per-point DRAM traffic and access energy, which is what the
 // columnwise pass computes.
 type cohortKey struct {

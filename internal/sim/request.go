@@ -51,8 +51,8 @@ func (r Request) Points() []Point {
 // Run evaluates the request through the given layer runner (nil means the
 // scalar kernel RunLayer wraps) and returns the model totals together with
 // every layer's result, in the model's layer order, in ModelResult.Layers.
-// Any deterministic runner — including a memoized one — yields totals
-// bit-identical to Run's. Callers that need observability or cancellation
+// Any deterministic runner yields the same totals, bit for bit, through Run
+// and Totals. Callers that need observability or cancellation
 // pass ObservedRunner or wrap a context check around a runner.
 func (r Request) Run(run LayerRunner) (ModelResult, error) {
 	return r.aggregate(run, true)

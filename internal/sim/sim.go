@@ -65,7 +65,7 @@ type LayerResult struct {
 
 // LayerOutcome is the scalar part of a LayerResult — times, energies and
 // DRAM traffic, without the layer or its mapping. It is everything the
-// model totals are folded from, and all the internal/exp layer memo keeps.
+// model totals are folded from.
 type LayerOutcome struct {
 	// Time in seconds.
 	ComputeSec float64 // serial vector-MAC schedule
@@ -283,9 +283,9 @@ func Run(acc Accelerator, m dnn.Model, mode Mode) (ModelResult, error) {
 // LayerRunner evaluates the layer instance *l into the caller's r,
 // overwriting every field on success; l may point at r.Layer, where
 // Request.Run and Request.Totals build each layer. They thread a custom
-// runner through the model aggregation so memoizing engines (internal/exp)
-// can substitute cached layer evaluations without duplicating — and risking
-// drift from — the aggregation arithmetic. The accelerator comes by value: a
+// runner through the model aggregation so an observing runner
+// (ObservedRunner) reuses the aggregation arithmetic instead of duplicating —
+// and risking drift from — it. The accelerator comes by value: a
 // pointer passed through a func-value call escapes, and would move the whole
 // Request to the heap.
 type LayerRunner func(acc Accelerator, l *dnn.Layer, mode Mode, r *LayerResult) error

@@ -41,6 +41,12 @@ const (
 	rowDRAM
 )
 
+// rowNames are the rows' display names, indexed by tid.
+var rowNames = [...]string{
+	rowCompute: "compute", rowWeights: "weight broadcast",
+	rowIfmaps: "ifmap broadcast", rowOutputs: "outputs/psums", rowDRAM: "DRAM",
+}
+
 // Export writes the per-layer schedule of a model result as trace JSON.
 // Within each layer, input broadcasts and DRAM transfers run concurrently
 // with compute from the layer's start (the simulator's maximal-overlap
@@ -94,11 +100,9 @@ func Export(w io.Writer, res sim.ModelResult) error {
 		}
 	}
 
-	// Row names for the viewer.
-	for tid, name := range map[int]string{
-		rowCompute: "compute", rowWeights: "weight broadcast",
-		rowIfmaps: "ifmap broadcast", rowOutputs: "outputs/psums", rowDRAM: "DRAM",
-	} {
+	// Row names for the viewer, in row (tid) order so the file is
+	// byte-stable.
+	for tid, name := range rowNames {
 		tf.TraceEvents = append(tf.TraceEvents, event{
 			Name: "thread_name", Phase: "M", PID: 1, TID: tid,
 			Args: map[string]any{"name": name},

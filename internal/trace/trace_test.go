@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,6 +80,44 @@ func TestExportRowNames(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("trace missing row name %q", want)
 		}
+	}
+}
+
+// TestExportByteStable exports one result 20 times and requires identical
+// bytes, with the row-name metadata events in tid order.
+func TestExportByteStable(t *testing.T) {
+	res := runSmall(t)
+	var first bytes.Buffer
+	if err := Export(&first, res); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 20; i++ {
+		var buf bytes.Buffer
+		if err := Export(&buf, res); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), first.Bytes()) {
+			t.Fatalf("export %d differs from the first", i)
+		}
+	}
+	var tf struct {
+		TraceEvents []struct {
+			Name  string `json:"name"`
+			Phase string `json:"ph"`
+			TID   int    `json:"tid"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(first.Bytes(), &tf); err != nil {
+		t.Fatal(err)
+	}
+	var tids []int
+	for _, e := range tf.TraceEvents {
+		if e.Phase == "M" && e.Name == "thread_name" {
+			tids = append(tids, e.TID)
+		}
+	}
+	if want := []int{0, 1, 2, 3, 4}; !slices.Equal(tids, want) {
+		t.Errorf("thread_name tids = %v, want %v", tids, want)
 	}
 }
 
