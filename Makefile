@@ -34,10 +34,10 @@ thermal-race:
 
 # The serving core under the race detector, ten times: concurrent requests
 # on every endpoint that reads the shared catalog, served bodies (miss and
-# hit) byte-identical to direct simulator runs, and misses admitted while
-# Close runs never stranded.
+# hit) byte-identical to direct simulator runs, misses admitted while Close
+# runs never stranded, and the worker pool's drain and hard cancel.
 serve-race:
-	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun|TestCloseNeverStrandsAdmittedMiss' ./internal/serve/
+	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun|TestCloseNeverStrandsAdmittedMiss|TestHardCancelFailsWaiters|TestCloseDrainsQueuedWorkThenRejects' ./internal/serve/
 
 # End-to-end smoke of spacx-report's batch observability: one run writes a
 # -metrics snapshot holding the experiment point counter.

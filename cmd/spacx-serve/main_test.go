@@ -10,7 +10,6 @@ func validOpts() options {
 		httpAddr:   "127.0.0.1:0",
 		jobs:       2,
 		queue:      8,
-		maxBatch:   4,
 		cache:      16,
 		maxReqBat:  256,
 		sweepCap:   16,
@@ -32,7 +31,6 @@ func TestValidateOptions(t *testing.T) {
 	}{
 		{"zero jobs", func(o *options) { o.jobs = 0 }},
 		{"zero queue", func(o *options) { o.queue = 0 }},
-		{"zero max batch", func(o *options) { o.maxBatch = 0 }},
 		{"zero cache", func(o *options) { o.cache = 0 }},
 		{"zero request batch", func(o *options) { o.maxReqBat = 0 }},
 		{"zero sweep points", func(o *options) { o.sweepCap = 0 }},

@@ -1,7 +1,7 @@
 // Package tracing is the request-scoped tracing layer of the serving stack:
 // lightweight span trees with a process-unique trace id per request or job,
 // propagated through context.Context across every layer a request crosses —
-// HTTP handler, admission queue, batch scheduler, engine phase, simulator
+// HTTP handler, admission queue, worker pool, engine phase, simulator
 // run — and collected into a bounded in-memory store the observability
 // server exposes as /traces and /traces/{id}. Span durations additionally
 // land in the metrics registry as per-span-name histograms

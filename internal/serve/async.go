@@ -46,8 +46,8 @@ func (s *Service) PrepareSweep(body []byte) (*SweepRun, error) {
 func (r *SweepRun) Len() int { return len(r.points) }
 
 // Run answers every grid point through the service's resolve path with at
-// most MaxBatch points in flight, so one sweep occupies at most one
-// micro-batch worth of the admission queue, and encodes the indented
+// most MaxBatch points in flight, so one sweep occupies at most MaxBatch
+// slots of the admission queue, and encodes the indented
 // SweepResponse. An async job and a synchronous /v1/sweep (ph nil) both run
 // here, so their bodies are byte-identical.
 //
@@ -67,7 +67,7 @@ func (r *SweepRun) Run(ctx context.Context, ph *engine.Phase) (result []byte, fa
 
 // resolveInto answers point i into the points slice through the service's
 // full resolve path — loss budget, response cache, singleflight, admission
-// queue, micro-batching. Queue-full rejections are retried after the
+// queue, worker pool. Queue-full rejections are retried after the
 // Retry-After backoff: sweep work is deliberately last in line behind
 // interactive traffic. A deterministic failure (over the loss budget, a
 // simulation error) lands in the point's error field; a non-nil return

@@ -45,13 +45,14 @@ func (w *statusWriter) WriteHeader(code int) {
 // flush and set per-write deadlines.
 func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
-// Instrument wraps a handler with the request counter, the latency
-// histogram (labeled by endpoint and final status code), and — when the
-// service has a trace collector — a per-request trace: the root span covers
-// the whole handler, the X-Spacx-Trace response header names it, and every
-// downstream layer (admission queue, batch scheduler, engine, simulator)
-// hangs child spans off the request context. The jobs subsystem mounts its
-// endpoints through this same wrapper so every /v1 response is traced.
+// Instrument wraps a handler with the request counter (labeled by endpoint
+// and final status code) and — when the service has a trace collector — a
+// per-request trace: the root span covers the whole handler, so its
+// duration in spacx_trace_span_seconds{span="serve:<endpoint>"} is the
+// endpoint's latency, the X-Spacx-Trace response header names it, and every
+// downstream layer (admission queue, worker pool, simulator) hangs child
+// spans off the request context. The jobs subsystem mounts its endpoints
+// through this same wrapper so every /v1 response is traced.
 func (s *Service) Instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	lbl := obs.Label{Key: "endpoint", Value: endpoint}
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -61,9 +62,7 @@ func (s *Service) Instrument(endpoint string, h http.HandlerFunc) http.HandlerFu
 			r = r.WithContext(ctx)
 		}
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		stop := s.rec.Time("spacx_serve_request_seconds", lbl)
 		h(sw, r)
-		stop()
 		root.End()
 		s.rec.Count("spacx_serve_requests_total", 1, lbl,
 			obs.Label{Key: "code", Value: strconv.Itoa(sw.code)})
@@ -117,7 +116,7 @@ func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
 }
 
 // handleSimulate answers POST /v1/simulate: one (model, accel, mode, batch)
-// query through the cache, singleflight, and micro-batching pipeline. The
+// query through the cache, singleflight, and worker-pool pipeline. The
 // X-Spacx-Cache trailer-free header reports hit/coalesced/miss.
 func (s *Service) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -184,7 +183,7 @@ type SweepResponse struct {
 // handleSweep answers POST /v1/sweep synchronously through the same loop
 // as an async sweep job (SweepRun.Run): at most MaxBatch points
 // in flight, each through the /v1/simulate resolve path — cached,
-// coalesced and batched identically, so a sweep warms the cache for later
+// coalesced and queued identically, so a sweep warms the cache for later
 // point queries — and a queue-full point is retried after RetryAfter
 // instead of failing. Per-point simulation failures land in the point's
 // error field; the grid itself must validate.

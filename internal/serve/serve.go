@@ -2,7 +2,7 @@
 // stdlib-only HTTP surface that answers what-if queries (accelerator ×
 // model × residency mode × batch) from a shared, concurrency-safe
 // simulation core built on the pieces the batch CLIs already use — the
-// experiment engine's worker pool and the observability registry.
+// simulator's model totals and the observability registry.
 //
 // Architecture, request path first:
 //
@@ -15,9 +15,8 @@
 //   - Singleflight: duplicate queries that arrive while the first is still
 //     in flight coalesce onto one computation; everyone gets the one
 //     result.
-//   - Micro-batching: a scheduler goroutine coalesces the jobs already
-//     queued (up to MaxBatch) and fans each batch across the experiment
-//     engine's worker pool.
+//   - Worker pool: Workers goroutines read the admission queue; each runs
+//     one job at a time and delivers its result the moment it is computed.
 //
 // The response LRU (with its singleflight table) is the service's one
 // cache: a miss folds the plain scalar kernel's result for every layer into
@@ -25,11 +24,11 @@
 // model and accelerator catalogs are built once per entry, on first use,
 // and shared read-only by every request.
 //
-// Lifecycle: Start launches the scheduler under a context; Close stops
-// admission, drains every queued job, and returns once the scheduler has
+// Lifecycle: Start launches the worker pool under a context; Close stops
+// admission, drains every queued job, and returns once every worker has
 // exited — the graceful half of a SIGTERM. Cancelling the Start context is
-// the hard half: unstarted batch items are abandoned via the engine's
-// context plumbing and their waiters get a shutdown error.
+// the hard half: a job no worker has started is failed with the context's
+// cause, so its waiters get a shutdown error.
 package serve
 
 import (
@@ -46,15 +45,16 @@ import (
 
 // Options tunes the service; every zero field gets a sensible default.
 type Options struct {
-	// Workers is the engine worker count per micro-batch (<= 0 means
-	// runtime.GOMAXPROCS(0)).
+	// Workers is the number of goroutines that run admitted queries, one
+	// at a time each (<= 0 means runtime.GOMAXPROCS(0)).
 	Workers int
 	// QueueDepth bounds the admission queue; enqueue attempts beyond it are
 	// rejected with 429 (<= 0 means 64).
 	QueueDepth int
-	// MaxBatch is the most requests one engine batch coalesces (<= 0 means
-	// 16; 1 disables micro-batching). It also caps the points a sweep, sync
-	// or async, has in flight at once.
+	// MaxBatch caps the points one sweep, sync or async, has in flight at
+	// once (<= 0 means 16). It is named after the micro-batching scheduler
+	// it once also sized, and keeps that name because the end-to-end
+	// benchmark sets it.
 	MaxBatch int
 	// CacheEntries is the response LRU capacity (<= 0 means 512).
 	CacheEntries int
@@ -68,7 +68,8 @@ type Options struct {
 	RetryAfter time.Duration
 	// Recorder receives the service's metrics (nil means none). Use the
 	// same *obs.Registry the observability server exposes so queue depths,
-	// cache ratios, batch sizes, and latencies land on /metrics.
+	// cache ratios, and request counts land on /metrics (latencies are span
+	// durations, which Traces records).
 	Recorder obs.Recorder
 	// Progress optionally tracks served points as the "serve" phase of the
 	// live /progress endpoint.
@@ -136,13 +137,12 @@ type Service struct {
 	admitMu sync.Mutex
 }
 
-// job is one admitted query travelling from the handler to the scheduler.
+// job is one admitted query travelling from the handler to a pool worker.
 type job struct {
-	q         query
-	f         *flight
-	ctx       context.Context // the admitting request's context: carries its trace
-	qspan     *tracing.Span   // open queue-wait span, ended when a batch picks the job up
-	delivered bool            // set by the batch worker; read after the batch barrier
+	q     query
+	f     *flight
+	ctx   context.Context // the admitting request's context: carries its trace
+	qspan *tracing.Span   // open queue-wait span, ended when a worker picks the job up
 }
 
 // New builds a stopped service; call Start before serving requests.
@@ -160,19 +160,30 @@ func New(opts Options) *Service {
 	}
 }
 
-// Start launches the micro-batching scheduler. ctx is the hard-shutdown
-// context: cancelling it abandons batch items that have not started. Start
-// must be called exactly once.
+// Start launches Options.Workers pool goroutines. ctx is the hard-shutdown
+// context: cancelling it fails every job no worker has started. done closes
+// once every worker has exited. Start must be called exactly once.
 func (s *Service) Start(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	s.ctx = ctx
-	go s.scheduler()
+	var wg sync.WaitGroup
+	wg.Add(s.opts.Workers)
+	for range s.opts.Workers {
+		go func() {
+			defer wg.Done()
+			s.work()
+		}()
+	}
+	go func() {
+		wg.Wait()
+		close(s.done)
+	}()
 }
 
 // Close stops admission (new queries get 503), drains every queued job to
-// completion, and returns once the scheduler has exited. Safe to call once,
+// completion, and returns once every worker has exited. Safe to call once,
 // after Start.
 func (s *Service) Close() {
 	s.admitMu.Lock()
@@ -241,17 +252,17 @@ func (s *Service) resolve(ctx context.Context, q query) (body []byte, src string
 // begun, errQueueFull when the queue is full (bounded backpressure: reject
 // now rather than queue without limit). admitMu spans the Draining check
 // and the send, and Close holds it around close(draining), so a job that
-// passes the check is in the queue before the scheduler's final drain looks;
-// it can never land in a queue nobody reads.
+// passes the check is in the queue before close(quit) sends the workers to
+// their final drain; it can never land in a queue nobody reads.
 func (s *Service) admit(ctx context.Context, q query, f *flight) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	if s.Draining() {
 		return errDraining
 	}
-	// The queue-wait span is ended by whichever scheduler goroutine picks
-	// the job up (or fails it), attributing admission latency to this
-	// request's trace even though another goroutine measures it.
+	// The queue-wait span is ended by whichever worker picks the job up,
+	// attributing admission latency to this request's trace even though
+	// another goroutine measures it.
 	jctx, qsp := tracing.StartSpan(ctx, "queue:wait")
 	select {
 	case s.queue <- &job{q: q, f: f, ctx: jctx, qspan: qsp}:
@@ -263,83 +274,56 @@ func (s *Service) admit(ctx context.Context, q query, f *flight) error {
 	}
 }
 
-// scheduler is the micro-batching loop: one goroutine coalescing queued
-// jobs into engine batches until Close (then it drains) or the hard
-// context cancels (then remaining waiters get the cancellation).
-func (s *Service) scheduler() {
-	defer close(s.done)
+// work is one pool worker: it runs queued jobs one at a time until Close
+// (then it drains the queue) or the hard context's cancellation (then the
+// drain fails every job left) tells it to stop.
+func (s *Service) work() {
 	for {
 		select {
-		case first := <-s.queue:
-			s.runBatch(s.collect(first))
+		case j := <-s.queue:
+			s.run(j)
 		case <-s.quit:
-			for {
-				select {
-				case j := <-s.queue:
-					s.runBatch(s.collect(j))
-				default:
-					return
-				}
-			}
+			s.drain()
+			return
 		case <-s.ctx.Done():
-			s.failQueued(context.Cause(s.ctx))
+			s.drain()
 			return
 		}
 	}
 }
 
-// collect coalesces the jobs already queued behind first into one batch of
-// at most MaxBatch jobs; it never waits for more to arrive.
-func (s *Service) collect(first *job) []*job {
-	batch := append(make([]*job, 0, s.opts.MaxBatch), first)
-	for len(batch) < s.opts.MaxBatch {
-		select {
-		case j := <-s.queue:
-			batch = append(batch, j)
-		default:
-			return batch
-		}
-	}
-	return batch
-}
-
-// runBatch fans one coalesced batch across the engine worker pool and
-// delivers each job's result as soon as it is computed. Jobs abandoned by a
-// hard cancellation are failed with the context's error.
-func (s *Service) runBatch(batch []*job) {
-	s.rec.Observe("spacx_serve_batch_size", float64(len(batch)))
-	s.rec.Count("spacx_serve_batches_total", 1)
-	s.rec.Gauge("spacx_serve_queue_depth", float64(len(s.queue)))
-	_ = engine.ForEachPhase(s.ctx, s.phase, s.opts.Workers, len(batch), func(i int) error {
-		j := batch[i]
-		j.qspan.End()
-		ectx, esp := tracing.StartSpan(j.ctx, "engine:compute")
-		body, err := s.execute(ectx, j.q)
-		esp.End()
-		j.delivered = true
-		s.finish(j, body, err)
-		return nil
-	})
-	for _, j := range batch {
-		if !j.delivered {
-			j.qspan.End()
-			s.finish(j, nil, context.Cause(s.ctx))
-		}
-	}
-}
-
-// failQueued fails every job still sitting in the queue with err — the
-// hard-shutdown path, where nothing more will be simulated.
-func (s *Service) failQueued(err error) {
+// drain runs every job left in the queue until it finds the queue empty.
+// Once Close has closed quit no job is admitted, so nothing can land in the
+// queue after the last worker's drain returns.
+func (s *Service) drain() {
 	for {
 		select {
 		case j := <-s.queue:
-			j.qspan.End()
-			s.finish(j, nil, err)
+			s.run(j)
 		default:
 			return
 		}
 	}
+}
+
+// run answers one job and delivers it. A job picked up after the hard
+// context is cancelled is failed with the context's cause instead; it counts
+// as submitted but never started in the "serve" progress phase.
+func (s *Service) run(j *job) {
+	j.qspan.End()
+	s.rec.Gauge("spacx_serve_queue_depth", float64(len(s.queue)))
+	s.phase.Begin(1)
+	defer s.phase.End()
+	if s.ctx.Err() != nil {
+		s.finish(j, nil, context.Cause(s.ctx))
+		return
+	}
+	s.phase.PointStart()
+	defer s.phase.PointDone()
+	ectx, esp := tracing.StartSpan(j.ctx, "engine:compute")
+	body, err := s.execute(ectx, j.q)
+	esp.End()
+	s.finish(j, body, err)
 }
 
 // finish completes a job's flight and keeps the cache gauges current.
@@ -358,11 +342,9 @@ func (s *Service) finish(j *job, body []byte, err error) {
 // not consulted here — an admitted job always runs to completion so its
 // result lands in the cache.
 func (s *Service) execute(ctx context.Context, q query) ([]byte, error) {
-	stop := s.rec.Time("spacx_serve_sim_seconds")
 	_, sp := tracing.StartSpan(ctx, "sim:model")
 	res, err := q.req.Totals(nil)
 	sp.End()
-	stop()
 	s.rec.Count("spacx_serve_engine_runs_total", 1)
 	if err != nil {
 		return nil, err

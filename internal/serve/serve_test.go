@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"spacx/internal/exp/engine"
 	"spacx/internal/obs"
 )
 
@@ -154,7 +155,7 @@ func TestQueueOverflowRejectsWith429AndRetryAfter(t *testing.T) {
 		t.Fatalf("rejected counter = %v, want %d", got, overflow)
 	}
 
-	// Start the scheduler so the occupied job completes, then drain.
+	// Start the workers so the occupied job completes, then drain.
 	s.Start(context.Background())
 	rr := <-occupied
 	if rr.Code != http.StatusOK {
@@ -197,9 +198,12 @@ func TestCloseDrainsQueuedWorkThenRejects(t *testing.T) {
 
 // TestCloseNeverStrandsAdmittedMiss is the drain-race regression test. Each
 // service fires distinct misses at once and then closes: a leader admitted
-// while Close runs must either reach a queue the scheduler still drains or
-// get errDraining, so every waiter returns and no flight outlives Close. One
-// service rarely hits the window, so the test loops over many.
+// while Close runs must either reach a queue the workers still drain or get
+// errDraining, so every waiter returns and no flight outlives Close. One
+// service rarely hits the window, so each row loops over many; the rows
+// cover one worker and a pool whose workers race each other to the drain.
+// Close must also wait for every worker's drain: it returns with the queue
+// empty and every job a worker picked up answered.
 func TestCloseNeverStrandsAdmittedMiss(t *testing.T) {
 	const services, misses = 1500, 32
 	queries := make([]query, misses)
@@ -210,84 +214,115 @@ func TestCloseNeverStrandsAdmittedMiss(t *testing.T) {
 		}
 		queries[i] = q
 	}
-	for n := 0; n < services; n++ {
-		s := New(Options{Workers: 1, QueueDepth: misses})
-		s.Start(context.Background())
-		ctx, cancel := context.WithCancel(context.Background())
-		start := make(chan struct{})
-		errs := make(chan error, misses)
-		var wg sync.WaitGroup
-		for _, q := range queries {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				body, _, err := s.resolve(ctx, q)
-				if err == nil && body == nil {
-					err = errors.New("empty body")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers %d", workers), func(t *testing.T) {
+			for n := 0; n < services; n++ {
+				prog := engine.NewProgress()
+				s := New(Options{Workers: workers, QueueDepth: misses, Progress: prog})
+				s.Start(context.Background())
+				ctx, cancel := context.WithCancel(context.Background())
+				start := make(chan struct{})
+				errs := make(chan error, misses)
+				var wg sync.WaitGroup
+				for _, q := range queries {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						<-start
+						body, _, err := s.resolve(ctx, q)
+						if err == nil && body == nil {
+							err = errors.New("empty body")
+						}
+						if err != nil && !errors.Is(err, errDraining) && !errors.Is(err, errQueueFull) {
+							errs <- err
+						}
+					}()
 				}
-				if err != nil && !errors.Is(err, errDraining) && !errors.Is(err, errQueueFull) {
-					errs <- err
+				close(start)
+				s.Close()
+				if left := len(s.queue); left != 0 {
+					t.Fatalf("service %d: Close returned with %d jobs still queued", n, left)
 				}
-			}()
-		}
-		close(start)
-		s.Close()
-		done := make(chan struct{})
-		go func() { wg.Wait(); close(done) }()
-		select {
-		case <-done:
-		case <-time.After(5 * time.Second):
-			cancel() // release the stranded waiters so they can be reported
-			<-done
-		}
-		cancel()
-		close(errs)
-		for err := range errs {
-			t.Fatalf("service %d: a waiter got %v, want a body, errDraining or errQueueFull", n, err)
-		}
-		s.cache.mu.Lock()
-		left := len(s.cache.flights)
-		s.cache.mu.Unlock()
-		if left != 0 {
-			t.Fatalf("service %d: %d flights left after Close", n, left)
-		}
+				if ph := prog.Status().Phases[0]; ph.Done != ph.Total {
+					t.Fatalf("service %d: Close returned with %d of %d picked-up jobs answered", n, ph.Done, ph.Total)
+				}
+				done := make(chan struct{})
+				go func() { wg.Wait(); close(done) }()
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					cancel() // release the stranded waiters so they can be reported
+					<-done
+				}
+				cancel()
+				close(errs)
+				for err := range errs {
+					t.Fatalf("service %d: a waiter got %v, want a body, errDraining or errQueueFull", n, err)
+				}
+				s.cache.mu.Lock()
+				left := len(s.cache.flights)
+				s.cache.mu.Unlock()
+				if left != 0 {
+					t.Fatalf("service %d: %d flights left after Close", n, left)
+				}
+			}
+		})
 	}
 }
 
+// TestHardCancelFailsWaiters queues distinct misses on a stopped service,
+// then starts it on a cancelled context: every worker must fail whatever it
+// picks up with the cancellation, release every waiter, and exit. The
+// "serve" progress phase counts each failed job as submitted, never started.
 func TestHardCancelFailsWaiters(t *testing.T) {
-	s := New(Options{})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
+	const queued = 6
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers %d", workers), func(t *testing.T) {
+			prog := engine.NewProgress()
+			s := New(Options{Workers: workers, Progress: prog})
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
 
-	errc := make(chan error, 1)
-	go func() {
-		q, err := buildQuery(SimulateRequest{Model: "alexnet", Accel: "spacx", Mode: "whole", Batch: 1})
-		if err != nil {
-			errc <- err
-			return
-		}
-		_, _, err = s.resolve(context.Background(), q)
-		errc <- err
-	}()
-	// Let the job enqueue, then start the scheduler on a dead context.
-	deadline := time.Now().Add(5 * time.Second)
-	for len(s.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("job never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
+			errc := make(chan error, queued)
+			for i := 0; i < queued; i++ {
+				q, err := buildQuery(SimulateRequest{Model: "alexnet", Accel: "spacx", Mode: "whole", Batch: i + 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				go func() {
+					_, _, err := s.resolve(context.Background(), q)
+					errc <- err
+				}()
+			}
+			// Let every job enqueue, then start the pool on a dead context.
+			deadline := time.Now().Add(5 * time.Second)
+			for len(s.queue) < queued {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d jobs reached the queue", len(s.queue), queued)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			s.Start(ctx)
+			for i := 0; i < queued; i++ {
+				select {
+				case err := <-errc:
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("waiter error = %v, want context.Canceled", err)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%d of %d waiters never released after hard cancel", queued-i, queued)
+				}
+			}
+			select {
+			case <-s.done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("workers never exited after hard cancel")
+			}
+			if ph := prog.Status().Phases[0]; ph.Total != queued || ph.Started != 0 {
+				t.Fatalf("serve phase: %d submitted, %d started; want %d, 0", ph.Total, ph.Started, queued)
+			}
+		})
 	}
-	s.Start(ctx)
-	select {
-	case err := <-errc:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("waiter error = %v, want context.Canceled", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("waiter never released after hard cancel")
-	}
-	<-s.done
 }
 
 func TestSimulateValidation(t *testing.T) {

@@ -87,6 +87,12 @@ hits=$(awk '$1 == "spacx_serve_cache_hits_total" {print $2}' "$OUT/metrics.prom"
 awk -v h="${hits:-0}" 'BEGIN { if (h + 0 <= 0) { print "no cache hits recorded"; exit 1 } }'
 runs=$(awk '$1 == "spacx_serve_engine_runs_total" {print $2}' "$OUT/metrics.prom")
 awk -v r="${runs:-0}" -v n="$n" 'BEGIN { if (r + 0 <= 0 || r + 0 >= n) { printf "engine runs %s out of bounds (0, %d)\n", r, n; exit 1 } }'
+# Latency comes from the span histogram: the request root span and the
+# simulator run each have a series.
+for span in serve:simulate sim:model; do
+  grep -q "^spacx_trace_span_seconds_count{span=\"$span\"} [1-9]" "$OUT/metrics.prom" \
+    || { echo "no spacx_trace_span_seconds samples for span $span on /metrics"; exit 1; }
+done
 grep -q '^spacx_thermal_max_chiplet_kelvin' "$OUT/metrics.prom" \
   || { echo "no spacx_thermal_* gauges on /metrics"; exit 1; }
 grep -q '^spacx_thermal_steps_total' "$OUT/metrics.prom" \
