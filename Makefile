@@ -37,16 +37,19 @@ thermal-race:
 # hit) byte-identical to direct simulator runs, misses admitted while Close
 # runs never stranded, and the worker pool's drain and hard cancel.
 serve-race:
-	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun|TestCloseNeverStrandsAdmittedMiss|TestHardCancelFailsWaiters|TestCloseDrainsQueuedWorkThenRejects' ./internal/serve/
+	go test -race -count=10 -run 'TestSharedCatalogUnderConcurrentRequests|TestServedBodiesMatchDirectRun|TestCloseNeverStrandsAdmittedMiss|TestHardCancelFailsWaiters|TestAdmissionAfterHardCancelFails|TestCloseDrainsQueuedWorkThenRejects' ./internal/serve/
 
-# End-to-end smoke of spacx-report's batch observability: one run writes a
-# -metrics snapshot holding the experiment point counter.
+# End-to-end smoke of the built spacx-report: one run writes a -metrics
+# snapshot holding the experiment point counter, and the fig14 alias renders
+# the Figures 13/14 CSV.
 report-smoke:
 	@set -e; \
 	go build -o /tmp/spacx-report ./cmd/spacx-report; \
-	rm -f /tmp/report-smoke.prom; \
+	rm -f /tmp/report-smoke.prom /tmp/report-smoke.csv; \
 	/tmp/spacx-report -only table1 -metrics /tmp/report-smoke.prom >/dev/null; \
 	grep -qm1 spacx_exp_points_total /tmp/report-smoke.prom; \
+	/tmp/spacx-report -only fig14 -format csv >/tmp/report-smoke.csv; \
+	head -1 /tmp/report-smoke.csv | grep -qx 'bar,layer,accel,compute_sec,comm_sec,exec_norm,network_j,other_j,energy_norm'; \
 	echo "report smoke ok"
 
 # End-to-end smoke of the spacx-serve API under the race detector:

@@ -12,6 +12,11 @@
 //	spacx-report -only fig16 -v -metrics /tmp/report.prom
 //	spacx-report -j 1           # force sequential evaluation
 //
+// The -only values, their render order and the CSV-capable set come from
+// report.Sections, which renders the drivers of exp.Artifacts: -h lists the
+// values, and -format csv on a text-only section, or without -only, fails
+// before anything runs, listing the values that have CSV.
+//
 // Parallelism: -j N sets the worker count for the experiment engine's fan-out
 // over independent simulation points (default: all CPUs). Results are
 // bit-for-bit identical at any worker count.
@@ -30,9 +35,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 
@@ -55,17 +62,9 @@ type options struct {
 	version    bool
 }
 
-// artifacts is the set of -only values, in render order.
-var artifacts = []string{
-	"table1", "table2", "table34",
-	"fig13", "fig14", "fig15", "fig16", "fig17", "fig18", "fig19", "fig20",
-	"fig21", "fig22",
-	"ablation", "tradeoff", "adaptive", "batch", "engines", "area",
-}
-
 func main() {
 	var o options
-	flag.StringVar(&o.only, "only", "", "render one artifact: "+strings.Join(artifacts, ", "))
+	flag.StringVar(&o.only, "only", "", "render one artifact: "+onlyValues(false))
 	flag.IntVar(&o.packets, "fig16-packets", 20000, "packets per fig16 event-simulation run")
 	flag.StringVar(&o.format, "format", "text", "output format: text or csv (csv requires -only)")
 	flag.IntVar(&o.jobs, "j", runtime.NumCPU(), "number of parallel simulation workers")
@@ -87,26 +86,15 @@ func main() {
 	}
 }
 
-func validOnly(only string) bool {
-	if only == "" {
-		return true
-	}
-	for _, a := range artifacts {
-		if only == a {
-			return true
-		}
-	}
-	return false
-}
-
 func run(o options) error {
 	// Validate every enum flag before running any experiment so a typo
 	// fails fast instead of after minutes of simulation.
 	if o.format != "text" && o.format != "csv" {
 		return fmt.Errorf("unknown format %q (text, csv)", o.format)
 	}
-	if !validOnly(o.only) {
-		return fmt.Errorf("unknown artifact %q (%s)", o.only, strings.Join(artifacts, ", "))
+	sections, err := pick(o.only, o.format)
+	if err != nil {
+		return err
 	}
 	if o.packets < 1 {
 		return fmt.Errorf("fig16-packets must be >= 1, got %d", o.packets)
@@ -141,12 +129,7 @@ func run(o options) error {
 		defer exp.SetRecorder(nil)
 	}
 
-	var renderErr error
-	if o.format == "csv" {
-		renderErr = runCSV(os.Stdout, o.only, o.packets)
-	} else {
-		renderErr = runText(os.Stdout, o.only, o.packets)
-	}
+	renderErr := render(os.Stdout, sections, o.format == "csv", o.packets)
 	interrupted := errors.Is(renderErr, context.Canceled)
 	if renderErr != nil && !interrupted {
 		return renderErr
@@ -172,209 +155,52 @@ func run(o options) error {
 	return nil
 }
 
-func runText(w *os.File, only string, packets int) error {
-	want := func(name string) bool { return only == "" || only == name }
-	sep := func() { fmt.Fprintln(w, strings.Repeat("-", 88)) }
-
-	if want("table1") {
-		rows, err := exp.Table1()
-		if err != nil {
-			return err
+// pick returns the sections -only selects (every one when it is empty) and
+// checks -format against them, so that a bad pair fails before any side
+// effect.
+func pick(only, format string) ([]report.Section, error) {
+	sections := report.Sections
+	if only != "" {
+		i := slices.IndexFunc(sections, func(s report.Section) bool { return slices.Contains(s.Names, only) })
+		if i < 0 {
+			return nil, fmt.Errorf("unknown artifact %q (%s)", only, onlyValues(false))
 		}
-		report.Table1(w, rows)
-		sep()
+		sections = sections[i : i+1]
 	}
-	if want("table2") {
-		report.Table2(w, exp.Table2())
-		sep()
+	if format == "csv" && (only == "" || sections[0].CSV == nil) {
+		return nil, fmt.Errorf("-format csv needs -only set to one of %s; got %q", onlyValues(true), only)
 	}
-	if want("table34") {
-		rows, err := exp.Table3And4()
-		if err != nil {
-			return err
-		}
-		report.Table3And4(w, rows)
-		sep()
-	}
-	if want("fig13") || want("fig14") {
-		rows, err := exp.Fig13And14()
-		if err != nil {
-			return err
-		}
-		report.PerLayer(w, rows)
-		sep()
-	}
-	if want("fig15") {
-		rows, err := exp.Fig15()
-		if err != nil {
-			return err
-		}
-		report.Overall(w, "Figure 15 — whole-inference execution time and energy (normalized to Simba)", rows)
-		sep()
-	}
-	if want("fig16") {
-		rows, err := exp.Fig16(packets)
-		if err != nil {
-			return err
-		}
-		report.Fig16(w, rows)
-		sep()
-	}
-	if want("fig17") {
-		rows, err := exp.Fig17()
-		if err != nil {
-			return err
-		}
-		report.Overall(w, "Figure 17 — dataflows on the SPACX architecture (normalized to WS)", rows)
-		sep()
-	}
-	if want("fig18") {
-		rows, err := exp.Fig18()
-		if err != nil {
-			return err
-		}
-		report.Overall(w, "Figure 18 — bandwidth allocation on/off (normalized to Simba)", rows)
-		sep()
-	}
-	if want("fig19") {
-		pts, err := exp.Fig19()
-		if err != nil {
-			return err
-		}
-		report.PowerSurface(w, "Figure 19 — SPACX network power, moderate parameters", pts)
-		sep()
-	}
-	if want("fig20") {
-		pts, err := exp.Fig20()
-		if err != nil {
-			return err
-		}
-		report.PowerSurface(w, "Figure 20 — SPACX network power, aggressive parameters", pts)
-		sep()
-	}
-	if want("fig21") {
-		a, err := exp.Fig21a()
-		if err != nil {
-			return err
-		}
-		b, err := exp.Fig21bBreakdown()
-		if err != nil {
-			return err
-		}
-		report.Fig21(w, a, b)
-		sep()
-	}
-	if want("fig22") {
-		rows, err := exp.Fig22()
-		if err != nil {
-			return err
-		}
-		report.Fig22(w, rows)
-		sep()
-	}
-	if want("ablation") {
-		rows, err := exp.AblationBroadcast()
-		if err != nil {
-			return err
-		}
-		report.Ablation(w, rows)
-		sep()
-	}
-	if want("tradeoff") {
-		rows, err := exp.GranularityTradeoff()
-		if err != nil {
-			return err
-		}
-		report.GranularityTradeoff(w, rows)
-		sep()
-	}
-	if want("adaptive") {
-		rows, err := exp.AdaptiveGranularity()
-		if err != nil {
-			return err
-		}
-		report.Adaptive(w, rows)
-		sep()
-	}
-	if want("batch") {
-		rows, err := exp.BatchScaling()
-		if err != nil {
-			return err
-		}
-		report.BatchScaling(w, rows)
-		sep()
-	}
-	if want("engines") {
-		rows, err := exp.EngineAgreement()
-		if err != nil {
-			return err
-		}
-		report.Engines(w, rows)
-		sep()
-	}
-	if want("area") {
-		r, err := exp.Area()
-		if err != nil {
-			return err
-		}
-		report.Area(w, r)
-		sep()
-	}
-	return nil
+	return sections, nil
 }
 
-// runCSV emits a single artifact as CSV for downstream plotting.
-func runCSV(w *os.File, only string, packets int) error {
-	switch only {
-	case "fig13", "fig14":
-		rows, err := exp.Fig13And14()
-		if err != nil {
-			return err
+// onlyValues lists the -only values in render order: every section's
+// names, or with csv only those of the sections that have a CSV renderer.
+func onlyValues(csv bool) string {
+	var names []string
+	for _, s := range report.Sections {
+		if !csv || s.CSV != nil {
+			names = append(names, s.Names...)
 		}
-		return report.PerLayerCSV(w, rows)
-	case "fig15":
-		rows, err := exp.Fig15()
-		if err != nil {
-			return err
-		}
-		return report.OverallCSV(w, rows)
-	case "fig16":
-		rows, err := exp.Fig16(packets)
-		if err != nil {
-			return err
-		}
-		return report.Fig16CSV(w, rows)
-	case "fig17":
-		rows, err := exp.Fig17()
-		if err != nil {
-			return err
-		}
-		return report.OverallCSV(w, rows)
-	case "fig18":
-		rows, err := exp.Fig18()
-		if err != nil {
-			return err
-		}
-		return report.OverallCSV(w, rows)
-	case "fig19":
-		pts, err := exp.Fig19()
-		if err != nil {
-			return err
-		}
-		return report.PowerSurfaceCSV(w, pts)
-	case "fig20":
-		pts, err := exp.Fig20()
-		if err != nil {
-			return err
-		}
-		return report.PowerSurfaceCSV(w, pts)
-	case "fig22":
-		rows, err := exp.Fig22()
-		if err != nil {
-			return err
-		}
-		return report.Fig22CSV(w, rows)
-	default:
-		return fmt.Errorf("csv format supports fig13..fig20, fig22; got %q", only)
 	}
+	return strings.Join(names, ", ")
+}
+
+// render evaluates each section's drivers and writes the section: as CSV,
+// or as text followed by a separator line.
+func render(w io.Writer, sections []report.Section, csv bool, packets int) error {
+	for _, s := range sections {
+		rows, err := s.Evaluate(packets)
+		if err != nil {
+			return err
+		}
+		if csv {
+			if err := s.CSV(w, rows); err != nil {
+				return err
+			}
+			continue
+		}
+		s.Text(w, rows)
+		fmt.Fprintln(w, strings.Repeat("-", 88))
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"spacx/internal/dataflow"
 	"spacx/internal/dnn"
 	"spacx/internal/network/spacxnet"
-	"spacx/internal/obs"
 	"spacx/internal/photonic"
 	"spacx/internal/sim"
 )
@@ -203,9 +202,9 @@ func Fig20() ([]spacxnet.PowerPoint, error) {
 
 // PowerSweep is the Figures 19/20 broadcast-granularity power sweep at
 // arbitrary scale: the (gK, gEF) grid is evaluated across the worker pool in
-// the row-major order of spacxnet.PowerSurface, and per-point progress is
-// reported in that order through the package recorder (spacx-report's -v
-// and -metrics for fig19 and fig20).
+// the row-major order of spacxnet.PowerSurface. The package recorder counts
+// and times each point under sweep="power" and logs each at debug level in
+// that order (spacx-report's -metrics and -v for fig19 and fig20).
 func PowerSweep(m, n int, p photonic.Params) ([]spacxnet.PowerPoint, error) {
 	if m <= 0 || n <= 0 {
 		return nil, fmt.Errorf("exp: power sweep needs positive M, N; got %d, %d", m, n)
@@ -224,7 +223,6 @@ func PowerSweep(m, n int, p photonic.Params) ([]spacxnet.PowerPoint, error) {
 		return nil, err
 	}
 	for _, pt := range pts {
-		recorder.Count("spacx_exp_points_total", 1, obs.Label{Key: "sweep", Value: "power-point"})
 		recorder.Logger().Debug("power point",
 			"gk", pt.GK, "gef", pt.GEF, "overallW", pt.OverallW())
 	}

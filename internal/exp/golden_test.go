@@ -19,36 +19,6 @@ var update = flag.Bool("update", false, "rewrite the golden files under testdata
 // so the rows are deterministic at any packet count.
 const goldenPackets = 2000
 
-// goldenDrivers is every figure/table driver, in report order. Each run is
-// snapshotted to testdata/<name>.golden.json; a diff means an experiment's
-// numbers changed and the change must be reviewed (and -update re-run)
-// deliberately.
-var goldenDrivers = []struct {
-	name string
-	run  func() (any, error)
-}{
-	{"table1", func() (any, error) { return Table1() }},
-	{"table2", func() (any, error) { return Table2(), nil }},
-	{"table34", func() (any, error) { return Table3And4() }},
-	{"fig13", func() (any, error) { return Fig13And14() }},
-	{"fig15", func() (any, error) { return Fig15() }},
-	{"fig16", func() (any, error) { return Fig16(goldenPackets) }},
-	{"fig17", func() (any, error) { return Fig17() }},
-	{"fig18", func() (any, error) { return Fig18() }},
-	{"fig19", func() (any, error) { return Fig19() }},
-	{"fig20", func() (any, error) { return Fig20() }},
-	{"fig21a", func() (any, error) { return Fig21a() }},
-	{"fig21b", func() (any, error) { return Fig21bBreakdown() }},
-	{"fig22", func() (any, error) { return Fig22() }},
-	{"ablation", func() (any, error) { return AblationBroadcast() }},
-	{"tradeoff", func() (any, error) { return GranularityTradeoff() }},
-	{"adaptive", func() (any, error) { return AdaptiveGranularity() }},
-	{"batch", func() (any, error) { return BatchScaling() }},
-	{"engines", func() (any, error) { return EngineAgreement() }},
-	{"area", func() (any, error) { return Area() }},
-	{"thermal", func() (any, error) { return ThermalGolden() }},
-}
-
 // goldenBytes marshals driver rows the same way every time: indented JSON
 // with a trailing newline. encoding/json renders float64 with the shortest
 // round-trip representation, so equal bytes means bit-identical values.
@@ -61,15 +31,18 @@ func goldenBytes(t *testing.T, v any) []byte {
 	return append(b, '\n')
 }
 
+// TestGolden snapshots every Artifacts row to testdata/<name>.golden.json; a
+// diff means an experiment's numbers changed and the change must be reviewed
+// (and -update re-run) deliberately.
 func TestGolden(t *testing.T) {
-	for _, d := range goldenDrivers {
-		t.Run(d.name, func(t *testing.T) {
-			v, err := d.run()
+	for _, a := range Artifacts {
+		t.Run(a.Name, func(t *testing.T) {
+			v, err := a.Run(goldenPackets)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got := goldenBytes(t, v)
-			path := filepath.Join("testdata", d.name+".golden.json")
+			path := filepath.Join("testdata", a.Name+".golden.json")
 			if *update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
@@ -82,7 +55,7 @@ func TestGolden(t *testing.T) {
 			}
 			if !bytes.Equal(got, want) {
 				t.Errorf("%s diverges from %s (run with -update if the change is intended)\n%s",
-					d.name, path, goldenDiff(want, got))
+					a.Name, path, goldenDiff(want, got))
 			}
 		})
 	}
@@ -105,24 +78,24 @@ func goldenDiff(want, got []byte) string {
 // worker and with many.
 func TestGoldenParallelMatchesSequential(t *testing.T) {
 	defer SetParallelism(0)
-	for _, d := range goldenDrivers {
-		t.Run(d.name, func(t *testing.T) {
+	for _, a := range Artifacts {
+		t.Run(a.Name, func(t *testing.T) {
 			SetParallelism(1)
-			v, err := d.run()
+			v, err := a.Run(goldenPackets)
 			if err != nil {
 				t.Fatal(err)
 			}
 			seq := goldenBytes(t, v)
 
 			SetParallelism(8)
-			v, err = d.run()
+			v, err = a.Run(goldenPackets)
 			if err != nil {
 				t.Fatal(err)
 			}
 			par := goldenBytes(t, v)
 
 			if !bytes.Equal(seq, par) {
-				t.Errorf("%s differs between -j 1 and -j 8\n%s", d.name, goldenDiff(seq, par))
+				t.Errorf("%s differs between -j 1 and -j 8\n%s", a.Name, goldenDiff(seq, par))
 			}
 		})
 	}

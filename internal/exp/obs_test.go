@@ -42,27 +42,6 @@ func TestNetworkProbePopulatesEventsimMetrics(t *testing.T) {
 	}
 }
 
-func TestPowerSweepReportsProgress(t *testing.T) {
-	reg := obs.NewRegistry(nil)
-	SetRecorder(reg)
-	defer SetRecorder(nil)
-	pts, err := PowerSweep(8, 8, photonic.Moderate())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) == 0 {
-		t.Fatal("no power points")
-	}
-	perPoint := reg.Counter("spacx_exp_points_total", obs.Label{Key: "sweep", Value: "power-point"})
-	if perPoint != float64(len(pts)) {
-		t.Errorf("per-point counter = %v, want %d", perPoint, len(pts))
-	}
-	// Every grid point is timed individually into the sweep histogram.
-	if got := reg.HistogramCount("spacx_exp_point_seconds", obs.Label{Key: "sweep", Value: "power"}); got != uint64(len(pts)) {
-		t.Errorf("sweep duration histogram count = %d, want %d", got, len(pts))
-	}
-}
-
 // TestDriversTimeEveryPoint checks the per-driver accounting a recorder
 // keeps: every point a driver fans out, and a single-shot driver's one
 // point, is counted and timed under the driver's sweep label.

@@ -27,8 +27,9 @@
 // Lifecycle: Start launches the worker pool under a context; Close stops
 // admission, drains every queued job, and returns once every worker has
 // exited — the graceful half of a SIGTERM. Cancelling the Start context is
-// the hard half: a job no worker has started is failed with the context's
-// cause, so its waiters get a shutdown error.
+// the hard half: a job no worker has started, and every later miss at
+// admission, is failed with the context's cause, so its waiters get a
+// shutdown error.
 package serve
 
 import (
@@ -161,13 +162,16 @@ func New(opts Options) *Service {
 }
 
 // Start launches Options.Workers pool goroutines. ctx is the hard-shutdown
-// context: cancelling it fails every job no worker has started. done closes
-// once every worker has exited. Start must be called exactly once.
+// context: cancelling it fails every job no worker has started and every
+// later admission. done closes once every worker has exited. Start must be
+// called exactly once.
 func (s *Service) Start(ctx context.Context) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	s.admitMu.Lock() // admit reads ctx under admitMu, and may run before Start
 	s.ctx = ctx
+	s.admitMu.Unlock()
 	var wg sync.WaitGroup
 	wg.Add(s.opts.Workers)
 	for range s.opts.Workers {
@@ -249,16 +253,20 @@ func (s *Service) resolve(ctx context.Context, q query) (body []byte, src string
 }
 
 // admit queues a leader's job without blocking: errDraining once Close has
-// begun, errQueueFull when the queue is full (bounded backpressure: reject
-// now rather than queue without limit). admitMu spans the Draining check
-// and the send, and Close holds it around close(draining), so a job that
-// passes the check is in the queue before close(quit) sends the workers to
-// their final drain; it can never land in a queue nobody reads.
+// begun, the hard context's cause once Start's context is done, errQueueFull
+// when the queue is full (bounded backpressure: reject now rather than queue
+// without limit). admitMu spans the checks and the send; Close holds it
+// around close(draining), and a worker leaving on the hard cancel takes it
+// before its final drain. So a job that passes the checks is in the queue
+// before the workers' final drain; it can never land in a queue nobody reads.
 func (s *Service) admit(ctx context.Context, q query, f *flight) error {
 	s.admitMu.Lock()
 	defer s.admitMu.Unlock()
 	if s.Draining() {
 		return errDraining
+	}
+	if s.ctx != nil && s.ctx.Err() != nil {
+		return context.Cause(s.ctx)
 	}
 	// The queue-wait span is ended by whichever worker picks the job up,
 	// attributing admission latency to this request's trace even though
@@ -286,6 +294,10 @@ func (s *Service) work() {
 			s.drain()
 			return
 		case <-s.ctx.Done():
+			// Wait out any admission that passed the hard-context check
+			// before the cancel; every later one fails that check.
+			s.admitMu.Lock()
+			s.admitMu.Unlock()
 			s.drain()
 			return
 		}
@@ -293,8 +305,9 @@ func (s *Service) work() {
 }
 
 // drain runs every job left in the queue until it finds the queue empty.
-// Once Close has closed quit no job is admitted, so nothing can land in the
-// queue after the last worker's drain returns.
+// Once Close has closed quit, or the hard context is done, no job is
+// admitted, so nothing can land in the queue after the last worker's drain
+// returns.
 func (s *Service) drain() {
 	for {
 		select {

@@ -325,6 +325,84 @@ func TestHardCancelFailsWaiters(t *testing.T) {
 	}
 }
 
+// TestAdmissionAfterHardCancelFails is the regression test for a miss
+// admitted after the hard cancel. Once Start's context is cancelled and
+// every worker has exited, a miss must fail at once with the cancellation
+// instead of queueing a job no worker reads, and an identical query must not
+// coalesce onto a stranded flight. The racing rows fire distinct misses
+// while the context is cancelled: each waiter must get a body or the
+// cancellation, and no job may be left queued once the workers are gone.
+func TestAdmissionAfterHardCancelFails(t *testing.T) {
+	const services, misses = 300, 16
+	queries := make([]query, misses)
+	for i := range queries {
+		q, err := buildQuery(SimulateRequest{Model: "alexnet", Accel: "spacx", Mode: "whole", Batch: i + 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries[i] = q
+	}
+	stopped := func(t *testing.T, s *Service) {
+		t.Helper()
+		select {
+		case <-s.done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("workers never exited after hard cancel")
+		}
+	}
+
+	t.Run("after the workers exit", func(t *testing.T) {
+		s := New(Options{Workers: 2})
+		ctx, cancel := context.WithCancel(context.Background())
+		s.Start(ctx)
+		cancel()
+		stopped(t, s)
+		for i := 0; i < 2; i++ {
+			rctx, rcancel := context.WithTimeout(context.Background(), 2*time.Second)
+			_, _, err := s.resolve(rctx, queries[0])
+			rcancel()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("query %d after hard cancel: %v, want context.Canceled", i+1, err)
+			}
+		}
+		if n := len(s.queue); n != 0 {
+			t.Fatalf("%d jobs queued after hard cancel, want 0", n)
+		}
+	})
+
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("racing workers %d", workers), func(t *testing.T) {
+			for n := 0; n < services; n++ {
+				s := New(Options{Workers: workers, QueueDepth: misses})
+				ctx, cancel := context.WithCancel(context.Background())
+				s.Start(ctx)
+				start := make(chan struct{})
+				errs := make(chan error, misses)
+				for _, q := range queries {
+					go func() {
+						<-start
+						rctx, rcancel := context.WithTimeout(context.Background(), 5*time.Second)
+						defer rcancel()
+						_, _, err := s.resolve(rctx, q)
+						errs <- err
+					}()
+				}
+				close(start)
+				cancel()
+				for range queries {
+					if err := <-errs; err != nil && !errors.Is(err, context.Canceled) {
+						t.Fatalf("service %d: a waiter got %v, want a body or context.Canceled", n, err)
+					}
+				}
+				stopped(t, s)
+				if left := len(s.queue); left != 0 {
+					t.Fatalf("service %d: %d jobs queued after the workers exited", n, left)
+				}
+			}
+		})
+	}
+}
+
 func TestSimulateValidation(t *testing.T) {
 	_, _, mux := newService(t, Options{})
 	cases := []struct {
